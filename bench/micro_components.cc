@@ -1,7 +1,8 @@
 // Component micro-benchmarks (wall-clock): the hot data structures and code
 // paths underlying the simulation-level experiments - event queue, RNG,
-// versioned store, class queue, network message path, consensus instance,
-// end-to-end single-transaction processing.
+// versioned store, WAL encoding (CRC, commit record, checkpoint image), class
+// queue, network message path, consensus instance, end-to-end
+// single-transaction processing.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include "core/cluster.h"
 #include "db/txn_interner.h"
 #include "db/versioned_store.h"
+#include "db/wal.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -116,6 +118,66 @@ void BM_StoreReadForTxn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreReadForTxn);
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  Rng rng(3);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) benchmark::DoNotOptimize(wal::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+void BM_WalAppendCommit(benchmark::State& state) {
+  // One TPC-C-sized commit record (10 writes: counters, amounts, one order
+  // line string) framed into a reused group-commit buffer.
+  std::vector<std::pair<ObjectId, Value>> writes;
+  for (ObjectId obj = 0; obj < 7; ++obj) writes.emplace_back(obj * 37, Value{std::int64_t(obj)});
+  writes.emplace_back(300, Value{12.5});
+  writes.emplace_back(301, Value{-3.75});
+  writes.emplace_back(302, Value{std::string("ol-0042-item-0017-qty-05")});
+  const ClassId classes[] = {3};
+  std::vector<std::uint8_t> out;
+  TOIndex index = 1;
+  for (auto _ : state) {
+    out.clear();
+    wal::append_commit(out, index++, classes, writes);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WalAppendCommit);
+
+void BM_CheckpointEncode(benchmark::State& state) {
+  // Streams range(0) committed versions (4 per chain, int/double/string
+  // mix) from a store's chains into a sealed checkpoint image - the
+  // DurableStore::do_checkpoint encode path, minus the file write.
+  const auto n_versions = static_cast<std::uint64_t>(state.range(0));
+  VersionedStore store(n_versions / 4);
+  for (std::uint64_t v = 0; v < n_versions; ++v) {
+    const ObjectId obj = v % (n_versions / 4);
+    const TOIndex index = v / (n_versions / 4);
+    Value value = v % 5 == 0 ? Value{std::string("customer-data")}
+                  : v % 2 == 0 ? Value{static_cast<double>(v) * 0.5}
+                               : Value{static_cast<std::int64_t>(v)};
+    store.install_version(obj, index, std::move(value));
+  }
+  const std::vector<TOIndex> watermarks(8, n_versions);
+  std::size_t size_hint = 0;
+  for (auto _ : state) {
+    wal::CheckpointWriter writer(watermarks, n_versions, size_hint);
+    store.for_each_chain([&](ObjectId obj, std::span<const VersionedStore::Version> chain) {
+      writer.begin_chain(obj, chain.size());
+      for (const auto& v : chain) writer.add_version(v.index, v.value);
+    });
+    benchmark::DoNotOptimize(writer.finish().data());
+    benchmark::ClobberMemory();
+    size_hint = writer.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n_versions));
+}
+BENCHMARK(BM_CheckpointEncode)->Arg(10000)->Arg(100000);
 
 void BM_TxnInternerRoundTrip(benchmark::State& state) {
   // intern -> lookup -> release, the per-transaction identity cost of the

@@ -218,16 +218,13 @@ void DurableStore::do_checkpoint() {
     return;
   }
 
-  wal::CheckpointData data;
-  data.class_watermarks = durable_watermark_;
-  data.max_index = durable_max_index_;
+  wal::CheckpointWriter checkpoint(durable_watermark_, durable_max_index_, checkpoint_bytes_);
   store_.for_each_chain([&](ObjectId obj, std::span<const VersionedStore::Version> chain) {
-    std::vector<std::pair<TOIndex, Value>> versions;
-    versions.reserve(chain.size());
-    for (const auto& v : chain) versions.emplace_back(v.index, v.value);
-    data.chains.emplace_back(obj, std::move(versions));
+    checkpoint.begin_chain(obj, chain.size());
+    for (const auto& v : chain) checkpoint.add_version(v.index, v.value);
   });
-  if (!wal::write_checkpoint(dir_ / kCheckpointFile, data, io())) {
+  checkpoint_bytes_ = checkpoint.size();
+  if (!checkpoint.write(dir_ / kCheckpointFile, io())) {
     // Temp-file + rename means the previous checkpoint survives untouched;
     // just count it and try again next cycle.
     ++stats_.io_errors;

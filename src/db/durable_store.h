@@ -21,8 +21,10 @@
 //   wal-<seq>.log ...   sealed + active segments
 //   checkpoint.bin      latest durable snapshot (atomic rename)
 // A checkpoint flushes the pending buffer, snapshots all committed chains +
-// per-class watermarks, rolls the active segment, then deletes every sealed
-// segment whose records all fall at or below the new watermark floor.
+// per-class watermarks - streamed from the chains straight into the encoded
+// file image, without copying any version - rolls the active segment, then
+// deletes every sealed segment whose records all fall at or below the new
+// watermark floor.
 //
 // I/O failure policy (all I/O goes through an IoEnv - injectable, see
 // db/io_shim.h): a failed write or fsync may have persisted a garbage prefix
@@ -138,6 +140,7 @@ class DurableStore final : public StorageBackend {
   // one, so an idle cluster's event queue still drains.
   bool checkpoint_scheduled_ = false;
   EventId checkpoint_event_;
+  std::size_t checkpoint_bytes_ = 0;      ///< last checkpoint's size; sizes the next
   bool down_ = false;                     ///< crashed: events no-op until reopen
 
   StorageHealth health_ = StorageHealth::ok;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -21,48 +22,85 @@ constexpr std::uint8_t kTagInt64 = 0;
 constexpr std::uint8_t kTagDouble = 1;
 constexpr std::uint8_t kTagString = 2;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kCrcTables[0] is the bytewise (Sarwate) table of the
+// reflected IEEE polynomial; kCrcTables[k][i] is byte i's CRC advanced by k
+// further zero bytes, so one step folds eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+  }
+  return t;
 }
 
-// --- little-endian encode helpers -----------------------------------------
+constexpr CrcTables kCrcTables = make_crc_tables();
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+std::uint32_t read_u32le(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+// --- in-place frame encoder -------------------------------------------------
+// The one encoder behind commit, load and checkpoint records: begin_frame()
+// reserves the 8-byte len|crc header in the output buffer, put()/put_keyed()
+// append each field in a single append, and end_frame() patches the header
+// once the payload is complete - no per-record payload buffer, no copy.
+
+template <typename T>
+void store_le(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+template <typename T>
+void put(std::vector<std::uint8_t>& out, T v) {
+  std::uint8_t buf[sizeof(T)];
+  store_le(buf, v);
+  out.insert(out.end(), buf, buf + sizeof(T));
 }
 
-void put_value(std::vector<std::uint8_t>& out, const Value& value) {
+/// A u64 key (object or version index) + value: one 17-byte append for an
+/// int64 or double; key, tag and length, then the bytes, for a string.
+void put_keyed(std::vector<std::uint8_t>& out, std::uint64_t key, const Value& value) {
+  std::uint8_t buf[8 + 1 + 8];
+  store_le(buf, key);
+  if (const auto* s = std::get_if<std::string>(&value)) {
+    buf[8] = kTagString;
+    store_le(buf + 9, static_cast<std::uint32_t>(s->size()));
+    out.insert(out.end(), buf, buf + 13);
+    out.insert(out.end(), s->begin(), s->end());
+    return;
+  }
+  std::uint64_t bits;
   if (const auto* i = std::get_if<std::int64_t>(&value)) {
-    put_u8(out, kTagInt64);
-    put_u64(out, static_cast<std::uint64_t>(*i));
-  } else if (const auto* d = std::get_if<double>(&value)) {
-    put_u8(out, kTagDouble);
-    std::uint64_t bits;
-    std::memcpy(&bits, d, sizeof(bits));
-    put_u64(out, bits);
+    buf[8] = kTagInt64;
+    bits = static_cast<std::uint64_t>(*i);
   } else {
-    const auto& s = std::get<std::string>(value);
-    put_u8(out, kTagString);
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
+    buf[8] = kTagDouble;
+    std::memcpy(&bits, &std::get<double>(value), sizeof(bits));
   }
+  store_le(buf + 9, bits);
+  out.insert(out.end(), buf, buf + sizeof(buf));
+}
+
+std::size_t begin_frame(std::vector<std::uint8_t>& out) {
+  const std::size_t at = out.size();
+  out.resize(at + 8);
+  return at;
+}
+
+void end_frame(std::vector<std::uint8_t>& out, std::size_t at) {
+  std::uint8_t* header = out.data() + at;
+  const std::size_t len = out.size() - at - 8;
+  store_le(header, static_cast<std::uint32_t>(len));
+  store_le(header + 4, crc32(header + 8, len));
 }
 
 // --- bounds-checked decode cursor -----------------------------------------
@@ -163,22 +201,12 @@ bool decode_load(Cursor& cur, LoadRecord& rec) {
   return cur.p == cur.end;
 }
 
-void frame(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& payload) {
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
-std::uint32_t read_u32le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
 bool read_all(const std::filesystem::path& path, std::vector<std::uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);  // opened at the end: tellg = size
   if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  out.resize(static_cast<std::size_t>(std::max<std::streamoff>(in.tellg(), 0)));
+  in.seekg(0).read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(out.size()));
+  out.resize(static_cast<std::size_t>(in.gcount()));  // a file that shrank meanwhile
   return true;
 }
 
@@ -235,10 +263,16 @@ ScanResult scan_frames(std::span<const std::uint8_t> bytes, const ScanCallbacks&
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xffffffffu;
+  const CrcTables& t = kCrcTables;
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+  std::uint32_t c = 0xffffffffu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ read_u32le(p);
+    const std::uint32_t hi = read_u32le(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -246,26 +280,21 @@ void append_commit(std::vector<std::uint8_t>& out, TOIndex index,
                    std::span<const ClassId> classes,
                    std::span<const std::pair<ObjectId, Value>> writes) {
   OTPDB_CHECK_MSG(!classes.empty(), "commit record needs at least one class");
-  std::vector<std::uint8_t> payload;
-  payload.reserve(32 + writes.size() * 24);
-  put_u8(payload, kRecordCommit);
-  put_u64(payload, index);
-  put_u16(payload, static_cast<std::uint16_t>(classes.size()));
-  for (ClassId c : classes) put_u32(payload, c);
-  put_u32(payload, static_cast<std::uint32_t>(writes.size()));
-  for (const auto& [object, value] : writes) {
-    put_u64(payload, object);
-    put_value(payload, value);
-  }
-  frame(out, payload);
+  const std::size_t frame = begin_frame(out);
+  put(out, kRecordCommit);
+  put(out, std::uint64_t{index});
+  put(out, static_cast<std::uint16_t>(classes.size()));
+  for (ClassId c : classes) put(out, std::uint32_t{c});
+  put(out, static_cast<std::uint32_t>(writes.size()));
+  for (const auto& [object, value] : writes) put_keyed(out, object, value);
+  end_frame(out, frame);
 }
 
 void append_load(std::vector<std::uint8_t>& out, ObjectId object, const Value& value) {
-  std::vector<std::uint8_t> payload;
-  put_u8(payload, kRecordLoad);
-  put_u64(payload, object);
-  put_value(payload, value);
-  frame(out, payload);
+  const std::size_t frame = begin_frame(out);
+  put(out, kRecordLoad);
+  put_keyed(out, object, value);
+  end_frame(out, frame);
 }
 
 ScanResult scan_segment(const std::filesystem::path& path, const ScanCallbacks& callbacks) {
@@ -334,26 +363,38 @@ bool truncate_file(const std::filesystem::path& path, std::uint64_t valid_bytes,
   return io.truncate(path.c_str(), static_cast<off_t>(valid_bytes)) == 0;
 }
 
-bool write_checkpoint(const std::filesystem::path& path, const CheckpointData& data, IoEnv& io) {
-  std::vector<std::uint8_t> payload;
-  put_u32(payload, static_cast<std::uint32_t>(data.class_watermarks.size()));
-  for (TOIndex w : data.class_watermarks) put_u64(payload, w);
-  put_u64(payload, data.max_index);
-  put_u64(payload, data.chains.size());
-  for (const auto& [object, versions] : data.chains) {
-    put_u64(payload, object);
-    put_u32(payload, static_cast<std::uint32_t>(versions.size()));
-    for (const auto& [index, value] : versions) {
-      put_u64(payload, index);
-      put_value(payload, value);
-    }
-  }
+CheckpointWriter::CheckpointWriter(std::span<const TOIndex> class_watermarks, TOIndex max_index,
+                                   std::size_t size_hint)
+    : bytes_(kCheckpointMagic, kCheckpointMagic + sizeof(kCheckpointMagic)) {
+  // Headroom for growth since the last checkpoint; reserved pages that are
+  // never touched cost no resident memory.
+  bytes_.reserve(size_hint + size_hint / 4);
+  begin_frame(bytes_);
+  put(bytes_, static_cast<std::uint32_t>(class_watermarks.size()));
+  for (TOIndex w : class_watermarks) put(bytes_, std::uint64_t{w});
+  put(bytes_, std::uint64_t{max_index});
+  n_objects_at_ = bytes_.size();
+  put(bytes_, std::uint64_t{0});  // patched by finish()
+}
 
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(sizeof(kCheckpointMagic) + 8 + payload.size());
-  bytes.insert(bytes.end(), kCheckpointMagic, kCheckpointMagic + sizeof(kCheckpointMagic));
-  frame(bytes, payload);
+void CheckpointWriter::begin_chain(ObjectId object, std::size_t n_versions) {
+  put(bytes_, std::uint64_t{object});
+  put(bytes_, static_cast<std::uint32_t>(n_versions));
+  ++n_objects_;
+}
 
+void CheckpointWriter::add_version(TOIndex index, const Value& value) {
+  put_keyed(bytes_, index, value);
+}
+
+std::span<const std::uint8_t> CheckpointWriter::finish() {
+  store_le(bytes_.data() + n_objects_at_, n_objects_);
+  end_frame(bytes_, sizeof(kCheckpointMagic));
+  return bytes_;
+}
+
+bool CheckpointWriter::write(const std::filesystem::path& path, IoEnv& io) {
+  const std::span<const std::uint8_t> bytes = finish();
   const std::filesystem::path tmp = path.string() + ".tmp";
   {
     const int fd = io.open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -374,6 +415,15 @@ bool write_checkpoint(const std::filesystem::path& path, const CheckpointData& d
   // The failed-rename (or failed-fsync) path leaves the temp file behind and
   // the previous checkpoint intact - recovery ignores "*.tmp".
   return io.rename(tmp.c_str(), path.c_str()) == 0;
+}
+
+bool write_checkpoint(const std::filesystem::path& path, const CheckpointData& data, IoEnv& io) {
+  CheckpointWriter writer(data.class_watermarks, data.max_index);
+  for (const auto& [object, versions] : data.chains) {
+    writer.begin_chain(object, versions.size());
+    for (const auto& [index, value] : versions) writer.add_version(index, value);
+  }
+  return writer.write(path, io);
 }
 
 bool read_checkpoint(const std::filesystem::path& path, CheckpointData& out) {

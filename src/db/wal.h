@@ -27,6 +27,10 @@
 //     u32 n_classes, n*u64 watermark, u64 max_index,
 //     u64 n_objects, n*(u64 object, u32 n_versions, n*(u64 index, value)).
 //
+// Frames are encoded in place (header patched once the payload is complete);
+// checkpoints stream chain by chain through CheckpointWriter. The CRC is a
+// portable slice-by-8 table CRC whose values are identical to zlib's crc32().
+//
 // Readers stop cleanly at the first torn, truncated or checksum-corrupt
 // frame: everything before it is valid, everything after is discarded. That
 // is exactly the group-commit contract - a crash mid-fsync loses at most the
@@ -47,7 +51,7 @@
 
 namespace otpdb::wal {
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib one) over `n` bytes.
+/// CRC-32 (IEEE 802.3 polynomial, the zlib one) over `n` bytes, slice-by-8.
 std::uint32_t crc32(const void* data, std::size_t n);
 
 /// One decoded commit record.
@@ -129,16 +133,41 @@ class SegmentWriter {
 bool truncate_file(const std::filesystem::path& path, std::uint64_t valid_bytes,
                    IoEnv& io = IoEnv::real());
 
-/// Serialized checkpoint payload: per-class watermarks + full version chains.
+/// Decoded checkpoint payload: per-class watermarks + full version chains.
 struct CheckpointData {
   std::vector<TOIndex> class_watermarks;
   TOIndex max_index = 0;
   std::vector<std::pair<ObjectId, std::vector<std::pair<TOIndex, Value>>>> chains;
 };
 
-/// Atomically replaces `path` with the serialized checkpoint: writes a temp
-/// file in the same directory, fsyncs it, then renames over `path`. Returns
-/// false on I/O error (the previous checkpoint, if any, survives).
+/// Encodes a checkpoint straight into its file image as the caller visits
+/// the chains - no intermediate copy of any version. Call begin_chain() once
+/// per object (ascending), followed by exactly `n_versions` add_version()s.
+class CheckpointWriter {
+ public:
+  /// `size_hint` pre-sizes the image; pass the previous checkpoint's size().
+  CheckpointWriter(std::span<const TOIndex> class_watermarks, TOIndex max_index,
+                   std::size_t size_hint = 0);
+  void begin_chain(ObjectId object, std::size_t n_versions);
+  void add_version(TOIndex index, const Value& value);
+
+  /// Seals the frame (object count, length, CRC); returns the file image,
+  /// valid until the next begin_chain()/add_version().
+  std::span<const std::uint8_t> finish();
+  std::size_t size() const { return bytes_.size(); }
+
+  /// finish(), then atomically replaces `path`: writes a temp file in the
+  /// same directory, fsyncs it, then renames over `path`. Returns false on
+  /// I/O error (the previous checkpoint, if any, survives).
+  bool write(const std::filesystem::path& path, IoEnv& io = IoEnv::real());
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t n_objects_at_ = 0;  ///< offset of the u64 object count
+  std::uint64_t n_objects_ = 0;
+};
+
+/// Writes `data` through CheckpointWriter (same bytes, same atomic replace).
 bool write_checkpoint(const std::filesystem::path& path, const CheckpointData& data,
                       IoEnv& io = IoEnv::real());
 

@@ -1,7 +1,8 @@
-// WAL format + DurableStore tests: encode/decode round-trips, corruption
-// hardening (torn writes, truncated tails, bit flips, bad checksums - the
-// scan must stop cleanly at the first bad frame, never crash or overread),
-// group-commit batching, and checkpoint/restart round-trips.
+// WAL format + DurableStore tests: encode/decode round-trips, the exact bytes
+// of every record kind (pinned as hex), the CRC against a bitwise reference,
+// corruption hardening (torn writes, truncated tails, bit flips, bad
+// checksums - the scan must stop cleanly at the first bad frame, never crash
+// or overread), group-commit batching, and checkpoint/restart round-trips.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -238,6 +239,79 @@ TEST(Wal, CorruptCheckpointIsRejected) {
   EXPECT_TRUE(out.chains.empty());
 }
 
+// --- CRC ----------------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the reference the
+/// table-driven wal::crc32 must match on every length and alignment.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(wal::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(wal::crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(99);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(wal::crc32(buf.data() + off, len), crc32_reference(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  std::vector<std::uint8_t> big((1u << 20) + 3);
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng.next_u64());
+  EXPECT_EQ(wal::crc32(big.data() + 3, big.size() - 3),
+            crc32_reference(big.data() + 3, big.size() - 3));
+}
+
+// --- golden bytes: the on-disk format is pinned ----------------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+TEST(WalGolden, CommitFrameBytes) {
+  std::vector<std::uint8_t> bytes;
+  const ClassId classes[] = {2, 5};
+  const std::pair<ObjectId, Value> writes[] = {
+      {3, Value{std::int64_t{-1}}},
+      {9, Value{2.5}},
+      {4000000000u, Value{std::string("hi")}},
+  };
+  wal::append_commit(bytes, 0x0102030405060708u, classes, writes);
+  EXPECT_EQ(hex(bytes),
+            "48000000" "b0928dac"                     // len 72 | crc
+            "01" "0807060504030201"                   // commit, index
+            "0200" "02000000" "05000000"              // classes {2, 5}
+            "03000000"                                // 3 writes
+            "0300000000000000" "00" "ffffffffffffffff"  // 3 -> int64 -1
+            "0900000000000000" "01" "0000000000000440"  // 9 -> double 2.5
+            "00286bee00000000" "02" "02000000" "6869");  // 4e9 -> "hi"
+}
+
+TEST(WalGolden, LoadFrameBytes) {
+  std::vector<std::uint8_t> bytes;
+  wal::append_load(bytes, 42, Value{std::int64_t{7}});
+  EXPECT_EQ(hex(bytes),
+            "12000000" "74408574"                       // len 18 | crc
+            "02" "2a00000000000000" "00" "0700000000000000");  // load 42 -> int64 7
+}
+
 // --- DurableStore ------------------------------------------------------------
 
 StorageConfig durable_config() {
@@ -382,6 +456,104 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
   const RecoveredState recovered = store.restart_from_disk();
   EXPECT_EQ(recovered.durable_floor, 60u);
   EXPECT_EQ(stats->checkpoint_restores, 1u);
+}
+
+/// Commits one transaction writing `writes` under `classes` at `index`.
+void commit_writes(DurableStore& store, TOIndex index, std::vector<ClassId> classes,
+                   std::vector<std::pair<ObjectId, Value>> writes) {
+  const TxnId txn = 0;
+  for (auto& [obj, value] : writes) store.memory().write(txn, obj, std::move(value));
+  store.commit(txn, index, classes);
+}
+
+TEST(WalGolden, CheckpointFileBytes) {
+  // Three classes; int, double and string versions; multi-version chains;
+  // object 100 lives past the 8-slot dense table (the sparse tail).
+  TempDir tmp;
+  Simulator sim;
+  StorageConfig config = durable_config();
+  config.checkpoint_interval = 100 * kMillisecond;
+  DurableStore store(sim, config, tmp.dir / "site-0", 3, 8);
+  store.load(1, Value{std::int64_t{1000}});
+  store.load(2, Value{std::string("ab")});
+  sim.schedule_at(1 * kMillisecond, [&] {
+    commit_writes(store, 1, {0}, {{1, Value{std::int64_t{1007}}}});
+  });
+  sim.schedule_at(2 * kMillisecond, [&] { commit_writes(store, 2, {1}, {{3, Value{0.5}}}); });
+  sim.schedule_at(3 * kMillisecond, [&] {
+    commit_writes(store, 3, {0, 2}, {{100, Value{std::string("sparse")}}});
+  });
+  sim.schedule_at(4 * kMillisecond, [&] {
+    commit_writes(store, 4, {0, 1}, {{1, Value{std::int64_t{-4}}}, {3, Value{-1.25}}});
+  });
+  sim.run_until(sim.now() + kSecond);
+  ASSERT_EQ(store.wal_stats()->checkpoints, 1u);
+
+  const fs::path path = tmp.dir / "site-0" / "checkpoint.bin";
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  EXPECT_EQ(hex(bytes),
+            "4f5450434b50310a" "d3000000" "f42245a1"  // magic, len 211 | crc
+            "03000000"                                // 3 class watermarks
+            "0400000000000000" "0400000000000000" "0300000000000000"
+            "0400000000000000"                        // max_index 4
+            "0400000000000000"                        // 4 objects
+            // object 1: load 1000, 1007 @1, -4 @4
+            "0100000000000000" "03000000"
+            "0000000000000000" "00" "e803000000000000"
+            "0100000000000000" "00" "ef03000000000000"
+            "0400000000000000" "00" "fcffffffffffffff"
+            // object 2: load "ab"
+            "0200000000000000" "01000000"
+            "0000000000000000" "02" "02000000" "6162"
+            // object 3: 0.5 @2, -1.25 @4
+            "0300000000000000" "02000000"
+            "0200000000000000" "01" "000000000000e03f"
+            "0400000000000000" "01" "000000000000f4bf"
+            // object 100 (sparse tail): "sparse" @3
+            "6400000000000000" "01000000"
+            "0300000000000000" "02" "06000000" "737061727365");
+
+  // The CheckpointData entry point encodes the same image.
+  wal::CheckpointData data;
+  ASSERT_TRUE(wal::read_checkpoint(path, data));
+  const fs::path copy = tmp.dir / "copy.bin";
+  ASSERT_TRUE(wal::write_checkpoint(copy, data));
+  EXPECT_EQ(read_file(copy), bytes);
+}
+
+TEST(DurableStore, CheckpointHoldsExactlyTheCommittedChains) {
+  TempDir tmp;
+  Simulator sim;
+  StorageConfig config = durable_config();
+  config.checkpoint_interval = 100 * kMillisecond;
+  DurableStore store(sim, config, tmp.dir / "site-0", 4, 32);
+  for (ObjectId obj = 0; obj < 32; obj += 3) store.load(obj, Value{std::int64_t{0}});
+  Rng rng(5);
+  std::vector<std::vector<std::pair<ObjectId, Value>>> txns(81);
+  for (int i = 1; i <= 80; ++i) {
+    const ObjectId a = rng.next_u64() % 40;  // ids >= 32 land in the sparse tail
+    const ObjectId b = 1000 + rng.next_u64() % 5;
+    txns[i] = {{a, (i % 3 == 0) ? Value{std::string(i % 7, 'q')} : Value{std::int64_t{i}}},
+               {b, Value{i * 0.25}}};
+    sim.schedule_at(i * 500 * kMicrosecond, [&store, &txns, i] {
+      commit_writes(store, static_cast<TOIndex>(i), {static_cast<ClassId>(i % 4)}, txns[i]);
+    });
+  }
+  sim.run_until(sim.now() + 150 * kMillisecond);  // all commits, then one checkpoint
+  ASSERT_EQ(store.wal_stats()->checkpoints, 1u);
+
+  std::vector<std::pair<ObjectId, std::vector<std::pair<TOIndex, Value>>>> live;
+  store.memory().for_each_chain(
+      [&](ObjectId obj, std::span<const VersionedStore::Version> chain) {
+        std::vector<std::pair<TOIndex, Value>> versions;
+        for (const auto& v : chain) versions.emplace_back(v.index, v.value);
+        live.emplace_back(obj, std::move(versions));
+      });
+  wal::CheckpointData data;
+  ASSERT_TRUE(wal::read_checkpoint(tmp.dir / "site-0" / "checkpoint.bin", data));
+  EXPECT_EQ(data.chains, live);
+  EXPECT_EQ(data.max_index, 80u);
+  EXPECT_EQ(data.class_watermarks, (std::vector<TOIndex>{80, 77, 78, 79}));
 }
 
 }  // namespace
