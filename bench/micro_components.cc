@@ -1,8 +1,8 @@
 // Component micro-benchmarks (wall-clock): the hot data structures and code
 // paths underlying the simulation-level experiments - event queue, RNG,
 // versioned store, WAL encoding (CRC, commit record, checkpoint image), class
-// queue, network message path, consensus instance, end-to-end
-// single-transaction processing.
+// queue, network message path, consensus instance, optimistic broadcast
+// deliver path, end-to-end single-transaction processing.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -263,6 +263,71 @@ void BM_ConsensusInstanceFastPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConsensusInstanceFastPath);
+
+struct DeliverCluster {
+  // 4 sites on a calm flat network, each site counting its TO-deliveries.
+  static constexpr SiteId kSites = 4;
+  Simulator sim;
+  Network net;
+  std::vector<std::unique_ptr<FailureDetector>> fds;
+  std::vector<std::unique_ptr<OptAbcast>> sites;
+  std::uint64_t to_delivered = 0;
+
+  DeliverCluster() : net(sim, kSites, calm_net(), Rng(1)) {
+    for (SiteId s = 0; s < kSites; ++s) {
+      fds.push_back(std::make_unique<FailureDetector>(sim, net, s, FailureDetectorConfig{}));
+    }
+    for (SiteId s = 0; s < kSites; ++s) {
+      sites.push_back(std::make_unique<OptAbcast>(sim, net, *fds[s], s, OptAbcastConfig{}));
+      AbcastCallbacks callbacks;
+      callbacks.opt_deliver = [](const Message&) {};
+      callbacks.to_deliver = [this](const MsgId&, TOIndex) { ++to_delivered; };
+      sites[s]->set_callbacks(std::move(callbacks));
+    }
+  }
+
+  static NetConfig calm_net() {
+    NetConfig cfg;
+    cfg.hiccup_prob = 0;
+    return cfg;
+  }
+};
+
+void BM_OptAbcastDeliver(benchmark::State& state) {
+  // Cost per message of the optimistic broadcast's Opt-/TO-deliver path: N
+  // messages from rotating senders 50 us apart, run until every site
+  // TO-delivered all of them. Covers arrival, staging, the consensus fast
+  // path, decision apply and the drain. Building and freeing the cluster
+  // are outside the timed region.
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  constexpr SiteId kSites = DeliverCluster::kSites;
+  struct Blank final : Payload {};
+  auto payload = std::make_shared<Blank>();
+  std::unique_ptr<DeliverCluster> cluster;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cluster = std::make_unique<DeliverCluster>();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      cluster->sim.schedule_at(static_cast<SimTime>(i) * 50 * kMicrosecond,
+                               [sites = &cluster->sites, payload, i] {
+                                 (*sites)[i % kSites]->broadcast(payload);
+                               });
+    }
+    state.ResumeTiming();
+    while (cluster->to_delivered < n * kSites && cluster->sim.step()) {
+    }
+    state.PauseTiming();
+    const bool all_delivered = cluster->to_delivered == n * kSites;
+    cluster.reset();
+    state.ResumeTiming();
+    if (!all_delivered) {
+      state.SkipWithError("not every message was TO-delivered at every site");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_OptAbcastDeliver)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 void BM_EndToEndTransaction(benchmark::State& state) {
   // Wall-clock cost of simulating one complete replicated transaction

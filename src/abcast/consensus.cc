@@ -39,28 +39,23 @@ ConsensusHost::ConsensusHost(Simulator& sim, Network& net, FailureDetector& fd, 
   net_.subscribe(self_, kChannelConsensus, [this](const Message& m) { on_message(m); });
 }
 
-ConsensusHost::Instance& ConsensusHost::instance(std::uint64_t inst) { return instances_[inst]; }
+ConsensusHost::Instance& ConsensusHost::instance(std::uint64_t inst) {
+  if (inst >= instances_.size()) instances_.resize(inst + 1);
+  return instances_[inst];
+}
 
 bool ConsensusHost::decided(std::uint64_t inst) const {
-  auto it = instances_.find(inst);
-  return it != instances_.end() && it->second.decided;
+  return inst < instances_.size() && instances_[inst].decided;
 }
 
 void ConsensusHost::crash_reset() {
-  // Cancel round timers in ascending instance order: TimerWheel recycles
-  // cancelled slots through a LIFO pool, so the cancel sequence dictates the
-  // slot (and intra-bucket position) of every timer armed after the restart.
-  // Hash-order cancellation would make the post-recovery wheel layout a
-  // function of unordered_map internals.
-  std::vector<std::uint64_t> armed;
-  armed.reserve(instances_.size());
-  // DETLINT(order-insensitive): keys are collected then sorted; only the
-  // sorted order reaches wheel_.cancel below.
-  for (auto& [inst, in] : instances_) {
-    if (in.timer_armed) armed.push_back(inst);
+  // Cancel round timers in ascending instance order (the table's order):
+  // TimerWheel recycles cancelled slots through a LIFO pool, so the cancel
+  // sequence dictates the slot (and intra-bucket position) of every timer
+  // armed after the restart.
+  for (Instance& in : instances_) {
+    if (in.timer_armed) wheel_.cancel(in.round_timer);
   }
-  std::sort(armed.begin(), armed.end());
-  for (std::uint64_t inst : armed) wheel_.cancel(instances_[inst].round_timer);
   instances_.clear();
 }
 

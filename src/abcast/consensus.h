@@ -28,13 +28,18 @@
 //
 // Late joiners: a site receiving traffic for an instance it already decided
 // replies with the Decision, so laggards catch up.
+//
+// Instances are numbered densely from 0 (OptAbcast's stages), so the
+// instance table is a deque indexed by instance number: a lookup is an array
+// index, growth at the end keeps references to existing instances valid, and
+// iteration is in ascending instance order.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "abcast/failure_detector.h"
@@ -78,8 +83,11 @@ class ConsensusHost {
   /// Registers the decision callback (invoked exactly once per instance).
   void set_on_decide(DecideFn fn) { on_decide_ = std::move(fn); }
 
+  /// True if `inst` is decided here. Never creates instance state.
   bool decided(std::uint64_t inst) const;
   const ConsensusStats& stats() const { return stats_; }
+  /// Size of the instance table (1 + the highest instance seen).
+  std::size_t instance_slots() const { return instances_.size(); }
 
   /// Drops all per-instance state (crash recovery: consensus participation is
   /// volatile; decided outcomes are re-learned from peers' decision logs).
@@ -132,7 +140,7 @@ class ConsensusHost {
   /// arm/cancel and a single pending simulator event however many instances
   /// are in flight.
   TimerWheel wheel_{sim_};
-  std::unordered_map<std::uint64_t, Instance> instances_;  // node-based: refs stable
+  std::deque<Instance> instances_;  // [inst]; grows at the end only: refs stable
   DecideFn on_decide_;
   ConsensusStats stats_;
 };

@@ -14,7 +14,8 @@ OptAbcast::OptAbcast(Simulator& sim, Network& net, FailureDetector& fd, SiteId s
       net_(net),
       self_(self),
       config_(config),
-      consensus_(sim, net, fd, self, config.consensus) {
+      consensus_(sim, net, fd, self, config.consensus),
+      slot_of_(net.site_count()) {
   net_.subscribe(self_, kChannelData, [this](const Message& m) { on_data(m); });
   net_.subscribe(self_, kChannelRecovery, [this](const Message& m) { on_recovery_message(m); });
   consensus_.set_on_decide(
@@ -29,9 +30,34 @@ MsgId OptAbcast::broadcast(PayloadPtr payload) {
 
 void OptAbcast::set_callbacks(AbcastCallbacks callbacks) { callbacks_ = std::move(callbacks); }
 
+OptAbcast::MsgState& OptAbcast::state(const MsgId& id) {
+  OTPDB_CHECK(id.sender < slot_of_.size());
+  std::vector<std::uint32_t>& slots = slot_of_[id.sender];
+  if (id.seq >= slots.size()) slots.resize(id.seq + 1, 0);
+  std::uint32_t& slot = slots[id.seq];
+  if (slot == 0) {
+    states_.emplace_back();
+    slot = static_cast<std::uint32_t>(states_.size());
+  }
+  return states_[slot - 1];
+}
+
+const OptAbcast::MsgState* OptAbcast::find(const MsgId& id) const {
+  if (id.sender >= slot_of_.size()) return nullptr;
+  const std::vector<std::uint32_t>& slots = slot_of_[id.sender];
+  if (id.seq >= slots.size() || slots[id.seq] == 0) return nullptr;
+  return &states_[slots[id.seq] - 1];
+}
+
+OptAbcast::TableSizes OptAbcast::table_sizes() const {
+  TableSizes sizes{states_.size(), 0, decision_log_.size()};
+  for (const auto& slots : slot_of_) sizes.msg_slots += slots.size();
+  return sizes;
+}
+
 void OptAbcast::on_data(const Message& msg) {
-  MsgState& st = msgs_[msg.id];  // single hash probe for the whole event
-  if (st.arrived) return;        // late retransmit of a fetched body
+  MsgState& st = state(msg.id);  // one lookup for the whole event
+  if (st.arrived) return;  // late retransmit of a fetched body
   st.arrived = true;
   st.body = msg.payload;
   st.opt_time = sim_.now();
@@ -50,7 +76,7 @@ void OptAbcast::on_data(const Message& msg) {
 
 void OptAbcast::consider_stage() {
   if (stage_timer_armed_ || pending_.empty()) return;
-  if (next_propose_ - next_apply_ >= config_.max_outstanding_stages) return;
+  if (next_propose_ - next_apply() >= config_.max_outstanding_stages) return;
   if (config_.batch_delay > 0) {
     stage_timer_armed_ = true;
     // Epoch-aligned batching: open stages at global multiples of batch_delay
@@ -67,16 +93,19 @@ void OptAbcast::consider_stage() {
 
 void OptAbcast::start_stage() {
   if (pending_.empty()) return;
-  if (next_propose_ - next_apply_ >= config_.max_outstanding_stages) return;
+  if (next_propose_ - next_apply() >= config_.max_outstanding_stages) return;
   // Propose aged messages (arrived before cutoff) not already sitting in an
   // undecided stage; fresher arrivals wait so all sites propose the same set.
   const SimTime cutoff = sim_.now() - config_.alignment_window;
   std::vector<MsgId> proposal;
+  std::vector<MsgState*> mine;
   for (const auto& [id, st] : pending_) {
     if (proposal.size() >= config_.max_batch) break;
     if (st->opt_time > cutoff) break;  // arrival order: the rest is fresher
     if (st->in_proposal) continue;
+    st->in_proposal = true;
     proposal.push_back(id);
+    mine.push_back(st);
   }
   if (proposal.empty()) {
     // Everything proposable is too fresh (or already in flight); retry at a
@@ -93,8 +122,7 @@ void OptAbcast::start_stage() {
     return;
   }
   const std::uint64_t inst = next_propose_++;
-  for (const MsgId& id : proposal) msgs_[id].in_proposal = true;
-  my_proposals_[inst] = proposal;
+  my_proposals_.emplace(inst, std::move(mine));
   OTPDB_TRACE("optabcast") << "site " << self_ << " proposes stage " << inst << " with "
                            << proposal.size() << " msgs";
   consensus_.propose(inst, std::move(proposal));
@@ -105,28 +133,37 @@ void OptAbcast::on_decide(std::uint64_t inst, const std::vector<MsgId>& sequence
   // A decision may arrive twice on a recovering site: once through the
   // catch-up response and once through its own consensus participation.
   // Consensus agreement guarantees both carry the same sequence; apply once.
-  if (inst < next_apply_) return;
-  decided_buffer_.emplace(inst, sequence);
-  while (true) {
-    auto it = decided_buffer_.find(next_apply_);
-    if (it == decided_buffer_.end()) break;
-    apply_decision(next_apply_, it->second);
-    decided_buffer_.erase(it);
-    ++next_apply_;
+  if (inst < next_apply()) return;
+  if (inst == next_apply()) {
+    apply_decision(inst, sequence);  // the common in-order case skips the buffer
+  } else {
+    decided_buffer_.emplace(inst, sequence);
   }
+  apply_buffered();
   drain_decided();
   consider_stage();
 }
 
+void OptAbcast::apply_buffered() {
+  for (auto it = decided_buffer_.begin();
+       it != decided_buffer_.end() && it->first == next_apply();
+       it = decided_buffer_.erase(it)) {
+    apply_decision(it->first, it->second);
+  }
+}
+
 void OptAbcast::apply_decision(std::uint64_t inst, const std::vector<MsgId>& sequence) {
-  decision_log_[inst] = sequence;
+  // on_decide and catch-up both apply stages strictly in order, so the log
+  // stays indexed by stage.
+  OTPDB_CHECK(inst == next_apply());
+  decision_log_.push_back(sequence);
   for (const MsgId& id : sequence) {
     // With pipelined stages a message can appear in two decided sequences
     // (proposed for stage r+1 at this site while stage r's decision, formed
     // elsewhere, already contained it). Deliver on first occurrence only;
     // this is deterministic because every site applies decisions in stage
     // order.
-    MsgState& st = msgs_[id];  // may create: decision can precede the body
+    MsgState& st = state(id);  // may create: decision can precede the body
     if (st.ordered) continue;
     st.ordered = true;
     st.in_proposal = false;
@@ -136,9 +173,8 @@ void OptAbcast::apply_decision(std::uint64_t inst, const std::vector<MsgId>& seq
   // back to proposable state (they will enter a later stage).
   auto mine = my_proposals_.find(inst);
   if (mine != my_proposals_.end()) {
-    for (const MsgId& id : mine->second) {
-      MsgState& st = msgs_[id];
-      if (!st.ordered) st.in_proposal = false;
+    for (MsgState* st : mine->second) {
+      if (!st->ordered) st->in_proposal = false;
     }
     my_proposals_.erase(mine);
   }
@@ -194,21 +230,6 @@ void OptAbcast::drain_decided() {
 
 namespace {
 
-enum class RecoveryKind : std::uint8_t {
-  catch_up_request,
-  catch_up_response,
-  body_request,
-  body_response,
-};
-
-struct RecoveryPayload final : Payload {
-  RecoveryKind kind = RecoveryKind::catch_up_request;
-  std::uint64_t from_stage = 0;
-  std::vector<std::pair<std::uint64_t, std::vector<MsgId>>> decisions;
-  std::vector<MsgId> subjects;                         // body_request
-  std::vector<std::pair<MsgId, PayloadPtr>> bodies;    // body_response
-};
-
 /// How many missing bodies one request fetches.
 constexpr std::size_t kBodyBatch = 64;
 
@@ -217,10 +238,10 @@ constexpr std::size_t kBodyBatch = 64;
 void OptAbcast::crash_reset() {
   pending_.clear();
   decided_queue_.clear();
-  msgs_.clear();  // after the queues: they hold pointers into it
+  states_.clear();  // after the queues: they hold pointers into it
+  for (auto& slots : slot_of_) slots.clear();
   decided_buffer_.clear();
   my_proposals_.clear();
-  next_apply_ = 0;
   next_propose_ = 0;
   next_index_ = 1;
   own_inflight_ = 0;
@@ -245,7 +266,7 @@ void OptAbcast::send_catch_up_request() {
   ++catch_up_round_;
   auto request = std::make_shared<RecoveryPayload>();
   request->kind = RecoveryKind::catch_up_request;
-  request->from_stage = next_apply_;
+  request->from_stage = next_apply();
   net_.multicast(self_, kChannelRecovery, std::move(request));
   // Retry until caught up: responses are idempotent, and load may be idle.
   sim_.schedule_after(100 * kMillisecond, [this] { send_catch_up_request(); });
@@ -277,7 +298,7 @@ void OptAbcast::request_missing_bodies() {
 }
 
 void OptAbcast::deliver_fetched_body(const MsgId& id, PayloadPtr payload) {
-  MsgState& st = msgs_[id];
+  MsgState& st = state(id);
   if (st.arrived) return;
   st.arrived = true;
   st.body = payload;
@@ -299,9 +320,8 @@ void OptAbcast::on_recovery_message(const Message& msg) {
       // requester it is already caught up.
       auto response = std::make_shared<RecoveryPayload>();
       response->kind = RecoveryKind::catch_up_response;
-      for (auto it = decision_log_.lower_bound(p->from_stage); it != decision_log_.end();
-           ++it) {
-        response->decisions.emplace_back(it->first, it->second);
+      for (std::uint64_t stage = p->from_stage; stage < decision_log_.size(); ++stage) {
+        response->decisions.emplace_back(stage, decision_log_[stage]);
       }
       net_.unicast(self_, msg.from, kChannelRecovery, std::move(response));
       break;
@@ -309,17 +329,11 @@ void OptAbcast::on_recovery_message(const Message& msg) {
     case RecoveryKind::catch_up_response: {
       bool progressed = false;
       for (const auto& [stage, sequence] : p->decisions) {
-        if (stage < next_apply_ || decided_buffer_.contains(stage)) continue;
+        if (stage < next_apply() || decided_buffer_.contains(stage)) continue;
         decided_buffer_.emplace(stage, sequence);
         progressed = true;
       }
-      while (true) {
-        auto it = decided_buffer_.find(next_apply_);
-        if (it == decided_buffer_.end()) break;
-        apply_decision(next_apply_, it->second);
-        decided_buffer_.erase(it);
-        ++next_apply_;
-      }
+      apply_buffered();
       drain_decided();
       consider_stage();
       // Caught up once a response brings nothing new and no delivery blocks.
@@ -331,10 +345,8 @@ void OptAbcast::on_recovery_message(const Message& msg) {
       auto response = std::make_shared<RecoveryPayload>();
       response->kind = RecoveryKind::body_response;
       for (const MsgId& id : p->subjects) {
-        auto it = msgs_.find(id);
-        if (it != msgs_.end() && it->second.body) {
-          response->bodies.emplace_back(id, it->second.body);
-        }
+        const MsgState* st = find(id);
+        if (st != nullptr && st->body) response->bodies.emplace_back(id, st->body);
       }
       OTPDB_DEBUG("optabcast") << "site " << self_ << " serves " << response->bodies.size()
                                << "/" << p->subjects.size() << " bodies to " << msg.from;

@@ -27,13 +27,24 @@
 // order.
 //
 // Tolerates f < n/2 crash faults (inherited from the consensus layer).
+//
+// Table layout. Every per-message and per-stage table is a dense array, and
+// none is erased outside crash_reset (recovering peers are served from stage
+// 0 on):
+//  * Message state lives in `states_`, a push-back-only deque in first-seen
+//    order, so MsgState pointers stay valid and the hot queues carry them.
+//    `slot_of_[sender][seq]` holds 1 + the state's index (0 = unknown). The
+//    network stamps one per-sender seq counter across every channel (data,
+//    consensus, failure-detector heartbeats, recovery), so the data seqs of a
+//    sender have gaps; a gap costs one 4-byte slot.
+//  * Stages are numbered densely from 0 and applied strictly in order, so the
+//    decision log is a vector indexed by stage (as are the consensus
+//    instances, see consensus.h).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "abcast/abcast.h"
@@ -68,6 +79,24 @@ struct OptAbcastConfig {
   ConsensusConfig consensus;
 };
 
+/// Wire format of the recovery channel: catch-up messages carry the decided
+/// stages from `from_stage` on, body messages carry message bodies. Public so
+/// tests can inject crafted recovery traffic.
+enum class RecoveryKind : std::uint8_t {
+  catch_up_request,
+  catch_up_response,
+  body_request,
+  body_response,
+};
+
+struct RecoveryPayload final : Payload {
+  RecoveryKind kind = RecoveryKind::catch_up_request;
+  std::uint64_t from_stage = 0;
+  std::vector<std::pair<std::uint64_t, std::vector<MsgId>>> decisions;
+  std::vector<MsgId> subjects;                       // body_request
+  std::vector<std::pair<MsgId, PayloadPtr>> bodies;  // body_response
+};
+
 class OptAbcast final : public AtomicBroadcast {
  public:
   OptAbcast(Simulator& sim, Network& net, FailureDetector& fd, SiteId self,
@@ -87,12 +116,6 @@ class OptAbcast final : public AtomicBroadcast {
 
   /// Next definitive index this site will assign (== TO-delivered count + 1).
   TOIndex next_index() const { return next_index_; }
-
-  /// Applied decisions by stage (also the recovery catch-up source). Exposed
-  /// for chaos-test forensics: agreement means these match across sites.
-  const std::map<std::uint64_t, std::vector<MsgId>>& decision_log() const {
-    return decision_log_;
-  }
 
   // -- Crash recovery (paper model: sites always recover) -------------------
   //
@@ -114,6 +137,16 @@ class OptAbcast final : public AtomicBroadcast {
   /// True while catch-up is still in progress.
   bool recovering() const { return recovering_; }
 
+  /// Sizes of the dense tables: message states, message index slots (all
+  /// senders) and applied stages. For tests of the lookup edge cases.
+  struct TableSizes {
+    std::size_t msgs = 0;
+    std::size_t msg_slots = 0;
+    std::size_t stages = 0;
+    bool operator==(const TableSizes&) const = default;
+  };
+  TableSizes table_sizes() const;
+
  private:
   void on_data(const Message& msg);
   void consider_stage();
@@ -127,9 +160,7 @@ class OptAbcast final : public AtomicBroadcast {
   void deliver_fetched_body(const MsgId& id, PayloadPtr payload);
 
   /// Everything this site knows about one message, consolidated so each
-  /// protocol event costs a single MsgId hash probe instead of one per
-  /// bookkeeping structure. Entries are never erased outside crash_reset, so
-  /// pointers into the map stay valid and the hot queues carry them directly.
+  /// protocol event costs one array lookup (see "Table layout" above).
   struct MsgState {
     SimTime opt_time = 0;  // arrival time: alignment cutoff + gap statistic
     PayloadPtr body;       // cached to serve recovering peers
@@ -139,6 +170,15 @@ class OptAbcast final : public AtomicBroadcast {
   };
   using MsgRef = std::pair<MsgId, MsgState*>;
 
+  /// The state of `id`, created (not arrived, not ordered) if unknown.
+  MsgState& state(const MsgId& id);
+  /// The state of `id`, or nullptr if unknown; never grows a table.
+  const MsgState* find(const MsgId& id) const;
+  /// Applies buffered decisions while the next stage in order is present.
+  void apply_buffered();
+  /// Lowest stage not yet applied here: the log holds every applied stage.
+  std::uint64_t next_apply() const { return decision_log_.size(); }
+
   Simulator& sim_;
   Network& net_;
   SiteId self_;
@@ -147,12 +187,12 @@ class OptAbcast final : public AtomicBroadcast {
   ConsensusHost consensus_;
   AbcastCallbacks callbacks_;
 
-  std::unordered_map<MsgId, MsgState> msgs_;
+  std::deque<MsgState> states_;                      // first-seen order
+  std::vector<std::vector<std::uint32_t>> slot_of_;  // [sender][seq] -> 1 + index
   std::deque<MsgRef> pending_;        // arrived, not yet definitively ordered
   std::deque<MsgRef> decided_queue_;  // decided, awaiting TO-delivery
   std::map<std::uint64_t, std::vector<MsgId>> decided_buffer_;  // out-of-order decisions
-  std::map<std::uint64_t, std::vector<MsgId>> my_proposals_;    // per in-flight stage
-  std::uint64_t next_apply_ = 0;    // lowest undecided stage at this site
+  std::map<std::uint64_t, std::vector<MsgState*>> my_proposals_;  // per in-flight stage
   std::uint64_t next_propose_ = 0;  // next stage this site will propose for
   bool stage_timer_armed_ = false;
   TOIndex next_index_ = 1;
@@ -164,8 +204,8 @@ class OptAbcast final : public AtomicBroadcast {
   AbcastStats stats_;
   std::vector<ToDelivery> drain_scratch_;  // reused burst buffer (drain_decided)
 
-  // Recovery support (message bodies are cached in msgs_[].body).
-  std::map<std::uint64_t, std::vector<MsgId>> decision_log_;     // stage -> decided sequence
+  // Recovery support (message bodies are cached in MsgState::body).
+  std::vector<std::vector<MsgId>> decision_log_;  // [stage] -> decided sequence
   bool recovering_ = false;
   bool body_request_outstanding_ = false;
   /// Retransmission timer on wheel_ (cancelled by the body_response in the

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "abcast_harness.h"
+#include "abcast/channels.h"
 #include "abcast/opt_abcast.h"
 
 namespace otpdb::test {
@@ -221,6 +222,98 @@ TEST(AbcastGap, OptimisticWindowIsPositive) {
   EXPECT_GT(stats.opt_to_gap_total_ns, 0);
   // The mean optimistic window should be at least the batching delay.
   EXPECT_GT(stats.opt_to_gap_total_ns / 50, kMillisecond / 2);
+}
+
+// -- Dense-table edge cases: lookups that must not insert, ids far past the
+// end of a table, catch-up past the end of the decision log. --------------
+
+OptAbcast& opt(AbcastHarness& h, SiteId s) { return static_cast<OptAbcast&>(h.endpoint(s)); }
+
+PayloadPtr body_request(std::vector<MsgId> subjects) {
+  auto p = std::make_shared<RecoveryPayload>();
+  p->kind = RecoveryKind::body_request;
+  p->subjects = std::move(subjects);
+  return p;
+}
+
+TEST(AbcastTables, BodyRequestForUnknownIdsServesNothingAndDoesNotGrow) {
+  AbcastHarness h(Protocol::optimistic, 4, calm_network(), 23);
+  std::vector<MsgId> sent;
+  for (int i = 0; i < 10; ++i) {
+    h.sim().schedule_at(i * kMillisecond, [&h, &sent, i] {
+      sent.push_back(h.endpoint(0).broadcast(std::make_shared<NumberedPayload>(i)));
+    });
+  }
+  h.sim().run_until(1 * kSecond);
+  h.check_properties(10);
+
+  // Site 3 forgets everything, then asks site 1 for one body it knows and for
+  // ids it never heard of: a sender that never broadcast data (2), a sender
+  // that is not a site (9), and a seq far past the end of sender 0's table.
+  h.net().crash(3);
+  opt(h, 3).crash_reset();
+  h.net().recover(3);
+  const OptAbcast::TableSizes before = opt(h, 1).table_sizes();
+  h.net().unicast(3, 1, kChannelRecovery,
+                  body_request({MsgId{2, 0}, MsgId{9, 0}, MsgId{0, 1'000'000}, sent[4]}));
+  h.sim().run_until(2 * kSecond);
+
+  EXPECT_EQ(opt(h, 1).table_sizes(), before) << "serving a body request must not insert";
+  EXPECT_EQ(h.endpoint(3).stats().recovery_bodies_fetched, 1u) << "only the known body";
+  ASSERT_EQ(h.log(3).opt.size(), 11u);
+  EXPECT_EQ(h.log(3).opt.back(), sent[4]);
+}
+
+TEST(AbcastTables, DecisionForFarSeqTODeliversOnlyAfterOptDelivery) {
+  AbcastHarness h(Protocol::optimistic, 4, calm_network(), 29);
+  // Stage 0 orders a message whose seq lies far beyond anything sender 2 has
+  // sent. Every site learns it through a catch-up response.
+  const MsgId far{2, 100'000};
+  auto decision = std::make_shared<RecoveryPayload>();
+  decision->kind = RecoveryKind::catch_up_response;
+  decision->decisions.emplace_back(0, std::vector<MsgId>{far});
+  h.sim().schedule_at(10 * kMillisecond, [&h, decision] {
+    h.net().multicast(1, kChannelRecovery, decision);
+  });
+  h.sim().run_until(500 * kMillisecond);
+  for (SiteId s = 0; s < 4; ++s) {
+    EXPECT_TRUE(h.log(s).to.empty()) << "site " << s << " TO-delivered before the body";
+    EXPECT_EQ(opt(h, s).table_sizes().stages, 1u);
+    // The body requests every site sent meanwhile found no body anywhere.
+    EXPECT_EQ(h.endpoint(s).stats().recovery_bodies_fetched, 0u);
+  }
+
+  auto body = std::make_shared<RecoveryPayload>();
+  body->kind = RecoveryKind::body_response;
+  body->bodies.emplace_back(far, std::make_shared<NumberedPayload>(7));
+  h.net().multicast(2, kChannelRecovery, body);
+  h.sim().run_until(1 * kSecond);
+  h.check_properties(1);  // includes Local Order: Opt-deliver before TO-deliver
+  for (SiteId s = 0; s < 4; ++s) EXPECT_EQ(h.log(s).to.front(), std::make_pair(far, TOIndex{1}));
+}
+
+TEST(AbcastTables, CatchUpFromPastTheLogEndIsEmptyAndEndsRecovery) {
+  AbcastHarness h(Protocol::optimistic, 4, calm_network(), 31);
+  h.broadcast_stream(20, 2 * kMillisecond);
+  h.sim().run_until(2 * kSecond);
+  h.check_properties(20);
+  const std::size_t stages = opt(h, 0).table_sizes().stages;
+  ASSERT_GT(stages, 0u);
+
+  // Site 2 asks for stages from its own log size (== every peer's) and, in a
+  // crafted request, from far past it. Peers answer with empty responses,
+  // which end the recovery.
+  opt(h, 2).begin_recovery();
+  EXPECT_TRUE(opt(h, 2).recovering());
+  auto request = std::make_shared<RecoveryPayload>();
+  request->kind = RecoveryKind::catch_up_request;
+  request->from_stage = stages + 1000;
+  h.net().multicast(2, kChannelRecovery, request);
+  h.sim().run_until(3 * kSecond);
+
+  EXPECT_FALSE(opt(h, 2).recovering());
+  h.check_properties(20);
+  for (SiteId s = 0; s < 4; ++s) EXPECT_EQ(opt(h, s).table_sizes().stages, stages);
 }
 
 }  // namespace

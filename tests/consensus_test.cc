@@ -131,6 +131,48 @@ TEST(Consensus, ManyInstancesIndependently) {
   }
 }
 
+TEST(Consensus, MessageForFarInstanceGrowsTableAndStillDecides) {
+  ConsensusFixture f(4, calm(), 5);
+  // Site 0 runs ahead: its proposal is the first traffic the others see for
+  // instance 5000, far above anything they proposed.
+  f.host(0).propose(5000, seq({2}));
+  f.sim().run_until(20 * kMillisecond);
+  for (SiteId s = 1; s < 4; ++s) {
+    EXPECT_EQ(f.host(s).instance_slots(), 5001u) << "site " << s;
+    EXPECT_FALSE(f.host(s).decided(5000));
+    EXPECT_FALSE(f.host(s).decided(4999)) << "a gap instance is never decided";
+  }
+  for (SiteId s = 1; s < 4; ++s) f.host(s).propose(5000, seq({2}));
+  f.sim().run_until(1 * kSecond);
+  const auto v = f.agreed_value(5000, 4);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, seq({2}));
+  // Asking about an instance past the table's end answers false and leaves
+  // the table as it was.
+  for (SiteId s = 0; s < 4; ++s) {
+    EXPECT_FALSE(f.host(s).decided(std::uint64_t{1} << 40));
+    EXPECT_FALSE(f.host(s).decided(5001));
+    EXPECT_EQ(f.host(s).instance_slots(), 5001u) << "site " << s;
+  }
+}
+
+TEST(Consensus, CrashResetCancelsEveryRoundTimer) {
+  ConsensusFixture f(4, calm(), 6);
+  // Only site 3 proposes, so none of its instances can decide and each keeps
+  // a round timer armed.
+  for (std::uint64_t inst = 0; inst < 3; ++inst) f.host(3).propose(inst, seq({inst}));
+  f.sim().run_until(10 * kMillisecond);
+  EXPECT_EQ(f.host(3).instance_slots(), 3u);
+  f.net().crash(3);
+  f.host(3).crash_reset();
+  EXPECT_EQ(f.host(3).instance_slots(), 0u);
+  EXPECT_FALSE(f.host(3).decided(0));
+  // A timer that survived the reset would fire advance_round and recreate its
+  // instance.
+  f.sim().run_until(5 * kSecond);
+  EXPECT_EQ(f.host(3).instance_slots(), 0u);
+}
+
 TEST(Consensus, CoordinatorCrashBeforeProposing) {
   // Coordinator of instance 0 round 0 is site 0; crash it before anyone
   // proposes. The remaining majority must still decide via later rounds.
