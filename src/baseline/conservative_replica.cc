@@ -233,7 +233,7 @@ void ConservativeReplica::on_complete(TxnRecord* txn) {
     record.reads = txn->last_reads;
   }
 
-  backend_.commit(txn->tid, txn->to_index, classes);
+  backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
   for (ClassId c : classes) queues_[c].remove_head(txn);
   --queued_;
 

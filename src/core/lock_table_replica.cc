@@ -259,7 +259,7 @@ void LockTableReplica::commit(TxnRecord* txn) {
   }
 
   backend_.commit(txn->tid, txn->to_index,
-                  std::span<const ClassId>(&txn->request->klass, 1));
+                  std::span<const ClassId>(&txn->request->klass, 1), queries_.gc_horizon());
   const std::vector<ObjectId> objects = txn->request->access_set;
   for (ObjectId obj : objects) {
     ObjectQueue& queue = queues_[obj];

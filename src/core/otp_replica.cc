@@ -446,7 +446,7 @@ void OtpReplica::commit(TxnRecord* txn) {
     record.reads = txn->last_reads;
   }
 
-  backend_.commit(txn->tid, txn->to_index, classes);
+  backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
   for (ClassId c : classes) queues_[c].remove_head(txn);
 
   ++metrics_.committed;

@@ -43,17 +43,37 @@ void QueryEngine::submit(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
   RunningQuery& query = pool_[slot];
   query.fn = std::move(fn);
   query.done = std::move(done);
-  query.snapshot = last_to_index_;  // the "i" of the paper's index "i.5"
+  // The "i" of the paper's index "i.5" - never below what the trimmed chains
+  // still serve, which only matters while a crash replay catches up.
+  query.snapshot = std::max(last_to_index_, store_.snapshot_floor());
   query.submitted_at = sim_.now();
   query.attempts = 0;
   ++metrics_.queries_started;
-  ++active_snapshots_[query.snapshot];
+  pin(query.snapshot);
   sim_.schedule_after(exec_duration, [this, slot] { run(slot); });
 }
 
 void QueryEngine::advance_to_index(TOIndex index) {
   OTPDB_CHECK(index > last_to_index_);
   last_to_index_ = index;
+  if (!catchup_.empty() && catchup_.front().index <= index && !catchup_wake_scheduled_) {
+    // The replay reached a parked snapshot. Wake in a zero-delay event, i.e.
+    // after this TO-delivery's per-domain notes, so the queries' snapshot
+    // bounds see the delivered index in the history.
+    catchup_wake_scheduled_ = true;
+    sim_.schedule_after(0, [this] { wake_caught_up(); });
+  }
+}
+
+void QueryEngine::wake_caught_up() {
+  catchup_wake_scheduled_ = false;
+  auto last = catchup_.begin();
+  while (last != catchup_.end() && last->index <= last_to_index_) ++last;
+  if (last == catchup_.begin()) return;  // a crash reset dropped them meanwhile
+  wake_scratch_.clear();
+  for (auto it = catchup_.begin(); it != last; ++it) wake_scratch_.push_back(it->slot);
+  catchup_.erase(catchup_.begin(), last);
+  for (const QuerySlot slot : wake_scratch_) run(slot);
 }
 
 void QueryEngine::note_to_delivered(Domain domain, TOIndex index) {
@@ -86,9 +106,17 @@ void QueryEngine::wake_waiters(TOIndex index) {
 void QueryEngine::reset_volatile() {
   for (auto& history : to_history_) history.clear();
   last_to_index_ = 0;
-  for (const Waiter& w : waiters_) release_slot(w.slot);  // parked queries are dropped
+  // Parked queries are dropped. Queries still executing keep their snapshot
+  // pinned, so trimming cannot outrun them; when they run they wait for the
+  // replay like any catch-up query (see run()).
+  for (const std::vector<Waiter>* parked : {&waiters_, &catchup_}) {
+    for (const Waiter& w : *parked) {
+      unpin(pool_[w.slot].snapshot);
+      release_slot(w.slot);
+    }
+  }
   waiters_.clear();
-  active_snapshots_.clear();
+  catchup_.clear();
 }
 
 void QueryEngine::restore_watermarks(std::span<const TOIndex> per_domain) {
@@ -96,13 +124,24 @@ void QueryEngine::restore_watermarks(std::span<const TOIndex> per_domain) {
     last_committed_[d] = d < per_domain.size() ? per_domain[d] : 0;
     restored_floor_[d] = last_committed_[d];
   }
+  // Queries still executing lost their snapshot's versions with RAM: move
+  // them to the oldest snapshot the rebuilt store serves. (Live slots hold a
+  // query function; parked ones were dropped by reset_volatile.)
+  const TOIndex floor = store_.snapshot_floor();
+  for (RunningQuery& query : pool_) {
+    if (query.fn && query.snapshot < floor) {
+      unpin(query.snapshot);
+      query.snapshot = floor;
+      pin(floor);
+    }
+  }
 }
 
 TOIndex QueryEngine::gc_horizon() const {
   // The oldest snapshot still readable is q_min = min(active, last_to_index);
   // a read at q_min needs the newest version with index <= q_min, which
-  // VersionedStore::prune(h) preserves when h = q_min + 1 (it keeps the
-  // newest version strictly below the horizon).
+  // trimming at h = q_min + 1 preserves (it keeps the newest version strictly
+  // below the horizon).
   const TOIndex q_min = active_snapshots_.empty()
                             ? last_to_index_
                             : std::min(last_to_index_, active_snapshots_.begin()->first);
@@ -134,8 +173,31 @@ Value QueryEngine::read(ObjectId obj, TOIndex snapshot) const {
   return store_.read_snapshot(obj, snapshot).value_or(Value{std::int64_t{0}});
 }
 
+void QueryEngine::pin(TOIndex snapshot) { ++active_snapshots_[snapshot]; }
+
+void QueryEngine::unpin(TOIndex snapshot) {
+  auto active = active_snapshots_.find(snapshot);
+  OTPDB_CHECK(active != active_snapshots_.end());
+  if (--active->second == 0) active_snapshots_.erase(active);
+}
+
+void QueryEngine::park(std::vector<Waiter>& list, TOIndex index, QuerySlot slot) {
+  // Sorted by the awaited index; upper_bound keeps arrival order within an
+  // index (the old map<index, vector> FIFO semantics).
+  const auto pos = std::upper_bound(
+      list.begin(), list.end(), index,
+      [](TOIndex idx, const Waiter& w) { return idx < w.index; });
+  list.insert(pos, Waiter{index, slot});
+}
+
 void QueryEngine::run(QuerySlot slot) {
   RunningQuery& query = pool_[slot];
+  if (query.snapshot > last_to_index_) {
+    // Recovery catch-up: the replay has not delivered the snapshot yet. Not
+    // an attempt - nothing was read.
+    park(catchup_, query.snapshot, slot);
+    return;
+  }
   ++query.attempts;
   if (query.attempts > 1) ++metrics_.query_retries;
   QueryContext ctx(query.snapshot,
@@ -143,19 +205,11 @@ void QueryEngine::run(QuerySlot slot) {
   try {
     query.fn(ctx);
   } catch (const detail::SnapshotNotReady& wait) {
-    // Park sorted by the awaited index; upper_bound keeps arrival order
-    // within an index (the old map<index, vector> FIFO semantics).
-    const auto pos = std::upper_bound(
-        waiters_.begin(), waiters_.end(), wait.index,
-        [](TOIndex idx, const Waiter& w) { return idx < w.index; });
-    waiters_.insert(pos, Waiter{wait.index, slot});
+    park(waiters_, wait.index, slot);
     return;
   }
   ++metrics_.queries_done;
-  auto active = active_snapshots_.find(query.snapshot);
-  if (active != active_snapshots_.end() && --active->second == 0) {
-    active_snapshots_.erase(active);
-  }
+  unpin(query.snapshot);
   QueryReport report;
   report.snapshot_index = query.snapshot;
   report.submitted_at = query.submitted_at;

@@ -10,6 +10,12 @@
 // observes the version written by the youngest domain transaction with
 // definitive index <= i, waiting for that transaction's local commit when it
 // is still in flight.
+//
+// The store trims its chains to gc_horizon() at every commit, so a snapshot
+// is only as old as the store still serves (VersionedStore::snapshot_floor).
+// A crash winds the TO-delivery history back to 0 while the chains stay
+// trimmed; queries submitted before the replay has caught up therefore take
+// the store's floor as their snapshot and park until the replay delivers it.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +48,9 @@ class QueryEngine {
               DomainOf domain_of, ReplicaMetrics& metrics);
 
   /// Client entry point: runs `fn` against the current snapshot after
-  /// `exec_duration` of simulated work; `done` receives the report.
+  /// `exec_duration` of simulated work; `done` receives the report. The
+  /// snapshot is max(last_to_index(), store floor); one above
+  /// last_to_index() (recovery catch-up) parks until the replay reaches it.
   void submit(QueryFn fn, SimTime exec_duration, QueryDoneFn done);
 
   /// Engine notification: a transaction covering `domain` was TO-delivered
@@ -76,19 +84,24 @@ class QueryEngine {
 
   /// Crash recovery: clears volatile state (TO-delivery history, snapshot
   /// index, waiting queries) while keeping the per-domain durable commit
-  /// watermarks. The history is rebuilt by the redo replay.
+  /// watermarks. The history is rebuilt by the redo replay; until it passes
+  /// the store's snapshot floor, new queries wait for it (see submit()).
   void reset_volatile();
 
   /// Cold restart: overwrites the per-domain commit watermarks with the
   /// durable tier's recovered marks (possibly LOWER than before the crash -
   /// the unflushed group-commit tail died with RAM). Domains beyond the span
-  /// reset to 0. Call after reset_volatile().
+  /// reset to 0. Queries still executing move up to the rebuilt store's
+  /// snapshot floor. Call after reset_volatile() and the store's rebuild.
   void restore_watermarks(std::span<const TOIndex> per_domain);
 
-  /// The oldest version index any present or future snapshot read can still
-  /// require: min(active query snapshots, last_to_index). Safe argument for
-  /// VersionedStore::prune (versions strictly older than the horizon are
-  /// unreachable except the newest one per object, which prune keeps).
+  /// One past the oldest snapshot a present or future query can read:
+  /// min(active query snapshots, last_to_index) + 1. The argument engines pass
+  /// to every commit (and prune()): versions older than the horizon are
+  /// unreachable except the newest one per object, which trimming keeps.
+  /// Future snapshots are never older because submit() hands out at least
+  /// last_to_index() and, after a crash reset it to 0, at least the store's
+  /// snapshot floor - the highest horizon - 1 ever trimmed against.
   TOIndex gc_horizon() const;
 
  private:
@@ -116,6 +129,12 @@ class QueryEngine {
   QuerySlot acquire_slot();
   void release_slot(QuerySlot slot);
   void run(QuerySlot slot);
+  void park(std::vector<Waiter>& list, TOIndex index, QuerySlot slot);
+  /// Runs the catch-up queries whose snapshot the replay has delivered.
+  void wake_caught_up();
+  /// Snapshot reference counts (active_snapshots_), which bound gc_horizon().
+  void pin(TOIndex snapshot);
+  void unpin(TOIndex snapshot);
   Value read(ObjectId obj, TOIndex snapshot) const;  // throws detail::SnapshotNotReady
 
   Simulator& sim_;
@@ -132,6 +151,10 @@ class QueryEngine {
   std::vector<RunningQuery> pool_;       // slot-indexed, recycled
   std::vector<QuerySlot> free_slots_;
   std::vector<Waiter> waiters_;          // sorted by index, FIFO within ties
+  /// Queries whose snapshot is ahead of the crash replay, keyed by snapshot
+  /// and sorted like waiters_; the TO-delivery reaching one wakes them.
+  std::vector<Waiter> catchup_;
+  bool catchup_wake_scheduled_ = false;
   std::vector<QuerySlot> wake_scratch_;  // reused by wake_waiters
   std::map<TOIndex, std::size_t> active_snapshots_;  // snapshot -> live queries
 };

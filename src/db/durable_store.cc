@@ -57,7 +57,8 @@ void DurableStore::load(ObjectId obj, Value value) {
   schedule_flush();
 }
 
-void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> classes) {
+void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
+                          TOIndex horizon) {
   if (health_ != StorageHealth::failed) {
     // Encode from the provisional write-set BEFORE the in-memory commit
     // consumes it. The span is already sorted by object, so the record bytes
@@ -75,7 +76,7 @@ void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> cla
     }
     pending_max_index_ = std::max(pending_max_index_, index);
   }
-  store_.commit(txn, index);
+  store_.commit(txn, index, horizon);
   schedule_flush();
   schedule_checkpoint();
 }
@@ -364,6 +365,12 @@ RecoveredState DurableStore::restart_from_disk() {
   durable_watermark_ = watermarks;
   pending_watermark_ = watermarks;
   durable_max_index_ = max_index;
+  // The checkpoint kept only what snapshots could read when it was taken, so
+  // the rebuilt chains serve snapshots from max_index on, not below it. Trim
+  // to that: one version per object (the WAL replay may have stacked several)
+  // and a snapshot floor at max_index, which the query engine will not
+  // undercut - queries at the restarted site wait for the catch-up instead.
+  store_.prune(max_index + 1);
 
   RecoveredState rs;
   rs.class_watermarks = std::move(watermarks);

@@ -24,7 +24,9 @@
 // per-class watermarks - streamed from the chains straight into the encoded
 // file image, without copying any version - rolls the active segment, then
 // deletes every sealed segment whose records all fall at or below the new
-// watermark floor.
+// watermark floor. Commits trim the chains to the query horizon
+// (VersionedStore::commit), so a checkpoint carries only the versions a
+// snapshot can still read: O(live objects), not O(history).
 //
 // I/O failure policy (all I/O goes through an IoEnv - injectable, see
 // db/io_shim.h): a failed write or fsync may have persisted a garbage prefix
@@ -83,7 +85,8 @@ class DurableStore final : public StorageBackend {
   ~DurableStore() override;
 
   void load(ObjectId obj, Value value) override;
-  void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes) override;
+  void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
+              TOIndex horizon) override;
   void crash() override;
   void reopen() override;
   RecoveredState restart_from_disk() override;

@@ -24,6 +24,7 @@ void VersionedStore::load(ObjectId obj, Value value) {
 }
 
 const Value* VersionedStore::read_snapshot_ptr(ObjectId obj, TOIndex max_index) const {
+  OTPDB_CHECK_MSG(max_index >= snapshot_floor_, "snapshot read below the prune floor");
   const Chain* chain = chain_of(obj);
   if (chain == nullptr || chain->empty()) return nullptr;
   // Chains are ascending by index; find the last version with index <= max.
@@ -66,7 +67,7 @@ void VersionedStore::WriteSet::ensure_sorted() {
   sorted = true;
 }
 
-void VersionedStore::commit(TxnId txn, TOIndex index) {
+void VersionedStore::commit(TxnId txn, TOIndex index, TOIndex horizon) {
   OTPDB_CHECK(index > 0);
   if (txn >= provisional_.size()) return;  // read-only or write-free transaction
   WriteSet& ws = provisional_[txn];
@@ -77,6 +78,7 @@ void VersionedStore::commit(TxnId txn, TOIndex index) {
                     "commit indices must ascend per object");
     if (chain.empty()) ++live_objects_;
     chain.push_back(Version{index, std::move(value)});
+    trim(chain, horizon);
   }
   ws.entries.clear();  // keeps capacity: the TxnId slot is recycled
   ws.sorted = false;
@@ -127,6 +129,7 @@ void VersionedStore::reset_in_place() {
   for (Chain& chain : dense_chains_) chain.clear();
   sparse_chains_.clear();
   live_objects_ = 0;
+  snapshot_floor_ = 0;
   clear_provisional();
 }
 
@@ -146,24 +149,28 @@ std::size_t VersionedStore::total_versions() const {
   return n;
 }
 
+std::size_t VersionedStore::trim(Chain& chain, TOIndex horizon) {
+  if (horizon == 0) return 0;
+  snapshot_floor_ = std::max(snapshot_floor_, horizon - 1);
+  // Keep the newest version with index < horizon (still visible at horizon)
+  // plus everything >= horizon.
+  auto first_kept = std::lower_bound(
+      chain.begin(), chain.end(), horizon,
+      [](const Version& v, TOIndex h) { return v.index < h; });
+  if (first_kept == chain.begin()) return 0;
+  auto erase_end = std::prev(first_kept);  // newest pre-horizon version survives
+  const auto dropped = static_cast<std::size_t>(std::distance(chain.begin(), erase_end));
+  chain.erase(chain.begin(), erase_end);  // keeps capacity: no reallocation later
+  return dropped;
+}
+
 std::size_t VersionedStore::prune(TOIndex horizon) {
   std::size_t dropped = 0;
-  const auto prune_chain = [&](Chain& chain) {
-    // Keep the newest version with index < horizon (still visible at horizon)
-    // plus everything >= horizon.
-    auto first_kept = std::lower_bound(
-        chain.begin(), chain.end(), horizon,
-        [](const Version& v, TOIndex h) { return v.index < h; });
-    if (first_kept == chain.begin()) return;
-    auto erase_end = std::prev(first_kept);  // newest pre-horizon version survives
-    dropped += static_cast<std::size_t>(std::distance(chain.begin(), erase_end));
-    chain.erase(chain.begin(), erase_end);
-  };
-  for (auto& chain : dense_chains_) prune_chain(chain);
+  for (auto& chain : dense_chains_) dropped += trim(chain, horizon);
   // DETLINT(order-insensitive): each chain is pruned independently against
   // the same horizon and `dropped` is a commutative sum; the final store
   // state and return value are identical for every visitation order.
-  for (auto& [obj, chain] : sparse_chains_) prune_chain(chain);
+  for (auto& [obj, chain] : sparse_chains_) dropped += trim(chain, horizon);
   return dropped;
 }
 

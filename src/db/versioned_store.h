@@ -4,9 +4,20 @@
 // definitive index (TOIndex) of the creating transaction - the version
 // labeling the paper's Section 5 relies on for query snapshots. Executing
 // transactions write *provisional* versions visible only to themselves;
-// commit(txn, index) stamps them into the committed chain, abort(txn) drops
-// them (the paper's "undo using traditional recovery techniques" - provisional
-// versions double as the undo log).
+// commit(txn, index, horizon) stamps them into the committed chain, abort(txn)
+// drops them (the paper's "undo using traditional recovery techniques" -
+// provisional versions double as the undo log).
+//
+// Chains hold only reachable versions. A version matters only while a live
+// or future snapshot can read it, so every commit trims the chains it
+// touches against the engine's GC horizon (QueryEngine::gc_horizon): it keeps
+// the newest version below the horizon plus everything at or above it - the
+// same rule prune() applies to every chain. Steady-state chains are 1-3
+// versions long, snapshot searches are trivial, commits reuse the chain's
+// capacity instead of reallocating, and a checkpoint (which serializes the
+// chains) carries only what a snapshot can still read. snapshot_floor()
+// records how far trimming has gone: a read below it CHECK-fails instead of
+// silently missing a dropped version.
 //
 // Hot-path layout (PR 1):
 //  * Transactions are named by dense per-site TxnIds (see TxnIdInterner), so
@@ -62,7 +73,9 @@ class VersionedStore {
     return v ? std::optional<Value>(*v) : std::nullopt;
   }
 
-  /// Latest committed value with version index <= max_index (snapshot read).
+  /// Latest committed value with version index <= max_index (snapshot read);
+  /// nullptr when the object was born after the snapshot or never written.
+  /// CHECK-fails for max_index < snapshot_floor(): that version may be gone.
   const Value* read_snapshot_ptr(ObjectId obj, TOIndex max_index) const;
   std::optional<Value> read_snapshot(ObjectId obj, TOIndex max_index) const {
     const Value* v = read_snapshot_ptr(obj, max_index);
@@ -82,10 +95,12 @@ class VersionedStore {
   void write(TxnId txn, ObjectId obj, Value value);
 
   /// Promotes the transaction's provisional writes to committed versions
-  /// stamped `index`. Per-object version indices must remain ascending (the
+  /// stamped `index`, then trims each written chain against `horizon` with
+  /// prune()'s rule. Per-object version indices must remain ascending (the
   /// OTP engine guarantees this: commits within a class follow the definitive
-  /// order and classes own disjoint objects).
-  void commit(TxnId txn, TOIndex index);
+  /// order and classes own disjoint objects). Engines pass their GC horizon;
+  /// horizon 0 keeps every version (unit tests and micro benches).
+  void commit(TxnId txn, TOIndex index, TOIndex horizon = 0);
 
   /// Discards the transaction's provisional writes (undo).
   void abort(TxnId txn);
@@ -106,9 +121,9 @@ class VersionedStore {
   void for_each_chain(
       const std::function<void(ObjectId, std::span<const Version>)>& fn) const;
 
-  /// Drops all committed and provisional state, keeping allocations and -
-  /// critically - the object's identity: references to this store held by
-  /// replicas stay valid across a cold restart.
+  /// Drops all committed and provisional state (and the snapshot floor),
+  /// keeping allocations and - critically - the object's identity: references
+  /// to this store held by replicas stay valid across a cold restart.
   void reset_in_place();
 
   /// The transaction's current provisional write set, sorted by object - a
@@ -123,7 +138,15 @@ class VersionedStore {
   /// Garbage-collects versions no snapshot can reach: for each object, drops
   /// all versions with index < horizon except the newest such version (which
   /// a snapshot at `horizon` may still read). Returns versions dropped.
+  /// commit() applies the same rule to the chains it writes, so this is only
+  /// needed to compact chains no commit has touched since the horizon moved.
   std::size_t prune(TOIndex horizon);
+
+  /// The lowest snapshot every chain still serves exactly: horizon - 1 for
+  /// the highest horizon ever trimmed against (0 before any trimming).
+  /// Snapshot reads below it CHECK-fail, and the query engine hands out no
+  /// snapshot below it (after a crash it waits for the replay instead).
+  TOIndex snapshot_floor() const { return snapshot_floor_; }
 
  private:
   static constexpr std::uint64_t kDefaultDenseObjects = 1 << 16;
@@ -145,11 +168,15 @@ class VersionedStore {
     return it == sparse_chains_.end() ? nullptr : &it->second;
   }
   Chain& chain_slot(ObjectId obj);
+  /// The one trimming rule: drops the versions below `horizon` except the
+  /// newest of them and raises snapshot_floor_. Returns versions dropped.
+  std::size_t trim(Chain& chain, TOIndex horizon);
 
   std::uint64_t dense_limit_;
   std::vector<Chain> dense_chains_;                    // ids < dense_limit_
   std::unordered_map<ObjectId, Chain> sparse_chains_;  // ids >= dense_limit_
   std::size_t live_objects_ = 0;                       // chains holding >= 1 version
+  TOIndex snapshot_floor_ = 0;                         // see snapshot_floor()
   std::vector<WriteSet> provisional_;                  // indexed by TxnId
 };
 

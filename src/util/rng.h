@@ -60,11 +60,12 @@ class Rng {
 
  private:
   std::uint64_t state_[4];
-  // Cached Zipf harmonic normalizers keyed by (n, theta); tiny in practice.
+  // Cached Zipf CDF keyed by (n, theta): cdf[i] = sum of 1/k^theta over
+  // ranks k <= i + 1, so cdf.back() is the harmonic normalizer.
   struct ZipfCache {
     std::uint64_t n = 0;
     double theta = 0.0;
-    double norm = 0.0;
+    std::vector<double> cdf;
   } zipf_cache_;
 };
 

@@ -5,6 +5,8 @@
 // below the durable watermark suppressed.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "abcast/opt_abcast.h"
 #include "baseline/conservative_replica.h"
 #include "checker/history.h"
@@ -279,6 +281,106 @@ ReplicaFactory conservative_factory() {
     return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
                                                  d.registry, d.site);
   };
+}
+
+/// 30 +1 updates to one object loaded to 100 (indices 1..30), then
+/// `restart` at site 1 and 10 more updates. Commits trim the chains to the
+/// query horizon, so the restarted site no longer holds the versions old
+/// snapshots read. The query runs at site 1 either submitted right after the
+/// restart or, `in_flight`, submitted at 50 ms and still executing across the
+/// crash.
+QueryReport query_across_restart(Cluster& cluster, const std::function<void(Cluster&)>& restart,
+                                 bool in_flight) {
+  const ProcId rmw = register_rmw_procedure(cluster.procedures(), cluster.catalog());
+  const ObjectId obj = cluster.catalog().object(0, 0);
+  cluster.load_everywhere(obj, Value{std::int64_t{100}});
+  const auto update_from = [&cluster, rmw](SimTime start, int count) {
+    for (int i = 0; i < count; ++i) {
+      cluster.sim().schedule_at(start + i * 5 * kMillisecond, [&cluster, rmw] {
+        TxnArgs args;
+        args.ints = {1, 0};
+        cluster.replica(0).submit_update(rmw, 0, args, kMillisecond);
+      });
+    }
+  };
+  update_from(0, 30);
+  std::vector<QueryReport> reports;
+  const auto submit = [&cluster, &reports, obj](SimTime exec) {
+    cluster.replica(1).submit_query([obj](QueryContext& ctx) { (void)ctx.read(obj); }, exec,
+                                    [&reports](const QueryReport& r) { reports.push_back(r); });
+  };
+  if (in_flight) {
+    cluster.sim().schedule_at(50 * kMillisecond, [&submit] { submit(3 * kSecond); });
+  }
+  cluster.run_for(1500 * kMillisecond);  // past the durable backend's first checkpoint
+  EXPECT_EQ(cluster.store(1).total_versions() > 1, in_flight)
+      << "chains hold only what the running query or the latest snapshot reads";
+
+  cluster.crash_site(1);
+  restart(cluster);
+  if (!in_flight) submit(kMillisecond);
+  // Ten more commits while the query waits: they trim the chains again.
+  update_from(cluster.sim().now() + 10 * kMillisecond, 10);
+  cluster.run_for(3 * kSecond);
+  EXPECT_TRUE(cluster.quiesce(60 * kSecond));
+  EXPECT_EQ(reports.size(), 1u);
+  return reports.empty() ? QueryReport{} : reports.front();
+}
+
+void expect_consistent_read(const QueryReport& report) {
+  ASSERT_EQ(report.reads.size(), 1u);
+  EXPECT_EQ(as_int(report.reads[0].second),
+            100 + static_cast<std::int64_t>(report.snapshot_index));
+}
+
+void cold_restart_site_1(Cluster& cluster) {
+  ASSERT_GT(cluster.wal_stats(1)->checkpoints, 0u);
+  cluster.restart_site_from_disk(1);
+  EXPECT_EQ(cluster.wal_stats(1)->checkpoint_restores, 1u);
+}
+
+void warm_recover_site_1(Cluster& cluster) { cluster.recover_site(1); }
+
+TEST(Recovery, QueryRightAfterWarmRecoveryReadsAServedSnapshot) {
+  // No snapshot below the TO index the site had reached before the crash.
+  Cluster cluster(recovery_config(31, 3));
+  const QueryReport report = query_across_restart(cluster, warm_recover_site_1, false);
+  EXPECT_EQ(report.snapshot_index, 30u);
+  expect_consistent_read(report);
+}
+
+TEST(Recovery, QueryRightAfterColdRestartReadsAServedSnapshot) {
+  // No snapshot below the checkpoint's max index.
+  Cluster cluster(durable_recovery_config(31, 3));
+  const QueryReport report = query_across_restart(cluster, cold_restart_site_1, false);
+  EXPECT_EQ(report.snapshot_index, 30u);
+  expect_consistent_read(report);
+}
+
+TEST(Recovery, QueryRightAfterColdRestartConservativeEngine) {
+  Cluster cluster(durable_recovery_config(31, 3), conservative_factory());
+  const QueryReport report = query_across_restart(cluster, cold_restart_site_1, false);
+  EXPECT_EQ(report.snapshot_index, 30u);
+  expect_consistent_read(report);
+}
+
+TEST(Recovery, QueryInFlightAcrossWarmRecoveryKeepsItsSnapshot) {
+  // The running query pins its early snapshot through the crash: the chains
+  // keep its version and it reads it once the replay has caught up.
+  Cluster cluster(recovery_config(31, 3));
+  const QueryReport report = query_across_restart(cluster, warm_recover_site_1, true);
+  EXPECT_GT(report.snapshot_index, 0u);
+  EXPECT_LT(report.snapshot_index, 30u);
+  expect_consistent_read(report);
+}
+
+TEST(Recovery, QueryInFlightAcrossColdRestartMovesToTheRestoredSnapshot) {
+  // RAM, and with it the query's early versions, is gone: it reads the
+  // oldest snapshot the rebuilt store serves.
+  Cluster cluster(durable_recovery_config(31, 3));
+  const QueryReport report = query_across_restart(cluster, cold_restart_site_1, true);
+  EXPECT_EQ(report.snapshot_index, 30u);
+  expect_consistent_read(report);
 }
 
 TEST(Recovery, DurableRestartFromDiskConvergesWithTombstones) {

@@ -1,6 +1,6 @@
-// Tests for the dense-identity hot path introduced in PR 1: the MsgId ->
-// TxnId interner, the flat provisional write-set semantics, and a randomized
-// prune() property check against a naive reference store.
+// Tests for the dense-identity hot path: the MsgId -> TxnId interner, the
+// flat provisional write-set semantics, and a randomized check of prune() and
+// trim-at-commit against a naive reference store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -210,7 +210,13 @@ struct ReferenceStore {
   }
 };
 
-TEST(PruneProperty, RandomizedAgainstReference) {
+/// Random multi-object transactions against the never-pruned reference.
+/// Versions are dropped by explicit prune() passes and, when
+/// `trim_at_commit`, by every commit trimming its chains to a random
+/// (monotone) horizon - the engines' hot path. Either way every snapshot at or
+/// above the store's floor (highest horizon - 1) must read exactly what the
+/// reference reads, and the latest value must always agree.
+void check_prune_property(bool trim_at_commit) {
   // Mixed dense/sparse id space to exercise both chain tables.
   const std::vector<ObjectId> objects = {0,  1,  2,  3,  7,  15, 16, 63,
                                          100'000, 100'001, 5'000'000'123};
@@ -219,17 +225,26 @@ TEST(PruneProperty, RandomizedAgainstReference) {
   Rng rng(20260729);
 
   TOIndex next_index = 1;
-  TOIndex pruned_to = 0;  // highest horizon passed to prune()
+  TOIndex pruned_to = 0;  // highest horizon passed to prune() or commit()
+  std::map<ObjectId, TOIndex> applied;  // highest horizon each chain was trimmed to
+  const auto draw_horizon = [&] {
+    // Never below an earlier horizon (the engines' horizon only rises), and
+    // up to one past the committing index (the lazy engine's choice).
+    return static_cast<TOIndex>(rng.uniform_int(static_cast<std::int64_t>(pruned_to),
+                                                static_cast<std::int64_t>(next_index)));
+  };
   for (int step = 0; step < 400; ++step) {
     // Random multi-object transaction at the next index.
     const TxnId t = static_cast<TxnId>(rng.uniform_int(0, 3));
     const std::size_t writes = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    std::vector<ObjectId> written;
     for (std::size_t w = 0; w < writes; ++w) {
       const ObjectId obj = objects[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(objects.size()) - 1))];
       const auto value = rng.uniform_int(0, 1'000'000);
       store.write(t, obj, Value{value});
       reference.commit(obj, next_index, value);  // dedup-free: one write per obj
+      written.push_back(obj);
     }
     // The reference recorded every write; collapse duplicates like the store
     // does (last write per object wins, one version per object per commit).
@@ -240,25 +255,40 @@ TEST(PruneProperty, RandomizedAgainstReference) {
         chain.erase(chain.end() - 2);
       }
     }
-    store.commit(t, next_index);
-    ++next_index;
+    ++next_index;  // the committing index is next_index - 1 from here on
+    const TOIndex horizon = trim_at_commit ? draw_horizon() : 0;
+    store.commit(t, next_index - 1, horizon);
+    pruned_to = std::max(pruned_to, horizon);
+    for (ObjectId obj : written) applied[obj] = std::max(applied[obj], horizon);
 
     if (rng.uniform_int(0, 9) == 0) {
-      const auto horizon = static_cast<TOIndex>(
-          rng.uniform_int(static_cast<std::int64_t>(pruned_to),
-                          static_cast<std::int64_t>(next_index)));
-      store.prune(horizon);
-      pruned_to = std::max(pruned_to, horizon);
+      const TOIndex prune_horizon = draw_horizon();
+      store.prune(prune_horizon);
+      pruned_to = std::max(pruned_to, prune_horizon);
+      for (ObjectId obj : objects) applied[obj] = std::max(applied[obj], prune_horizon);
     }
+    // Each chain is exactly its full history trimmed to the highest horizon
+    // applied to it: the newest version below it plus everything at or above.
+    std::map<ObjectId, std::vector<TOIndex>> kept;
+    store.for_each_chain([&](ObjectId obj, std::span<const VersionedStore::Version> chain) {
+      for (const auto& v : chain) kept[obj].push_back(v.index);
+    });
+    for (ObjectId obj : objects) {
+      std::vector<TOIndex> want;
+      for (const auto& [index, value] : reference.chains[obj]) {
+        if (!want.empty() && index < applied[obj]) want.clear();  // superseded below h
+        want.push_back(index);
+      }
+      ASSERT_EQ(kept[obj], want) << "obj " << obj << " horizon " << applied[obj];
+    }
+    const TOIndex floor = pruned_to == 0 ? 0 : pruned_to - 1;
+    ASSERT_EQ(store.snapshot_floor(), floor);
 
-    // Every snapshot at or above (pruned_to - 1) must still read exactly what
-    // the never-pruned reference reads; the latest value must always agree.
     for (int probe = 0; probe < 8; ++probe) {
       const ObjectId obj = objects[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(objects.size()) - 1))];
-      const TOIndex lo = pruned_to == 0 ? 0 : pruned_to - 1;
       const auto snapshot = static_cast<TOIndex>(rng.uniform_int(
-          static_cast<std::int64_t>(lo), static_cast<std::int64_t>(next_index)));
+          static_cast<std::int64_t>(floor), static_cast<std::int64_t>(next_index)));
       const auto got = store.read_snapshot(obj, snapshot);
       const auto want = reference.read_snapshot(obj, snapshot);
       ASSERT_EQ(got.has_value(), want.has_value())
@@ -270,6 +300,25 @@ TEST(PruneProperty, RandomizedAgainstReference) {
       if (want_latest) ASSERT_EQ(as_int(*latest), *want_latest);
     }
   }
+}
+
+TEST(PruneProperty, RandomizedAgainstReference) { check_prune_property(false); }
+
+TEST(PruneProperty, TrimAtCommitAgainstReference) { check_prune_property(true); }
+
+TEST(PruneProperty, ReadBelowTheFloorFailsLoudly) {
+  VersionedStore store;
+  store.load(1, Value{std::int64_t{100}});
+  for (TOIndex i = 1; i <= 5; ++i) {
+    store.write(0, 1, Value{static_cast<std::int64_t>(100 + i)});
+    store.commit(0, i, /*horizon=*/i + 1);  // latest only, like the lazy engine
+  }
+  EXPECT_EQ(store.total_versions(), 1u);
+  EXPECT_EQ(store.snapshot_floor(), 5u);
+  EXPECT_EQ(as_int(*store.read_snapshot(1, 5)), 105);
+  EXPECT_FALSE(store.read_snapshot(2, 5).has_value()) << "a never-written object reads empty";
+  EXPECT_DEATH((void)store.read_snapshot(1, 4), "prune floor")
+      << "the version snapshot 4 needs was dropped: fail, do not read 0";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "util/rng.h"
 #include "util/stats.h"
@@ -102,6 +103,54 @@ TEST(Rng, ZipfZeroThetaIsUniform) {
   std::vector<int> counts(4, 0);
   for (int i = 0; i < 40000; ++i) ++counts[rng.zipf(4, 0.0)];
   for (int c : counts) EXPECT_NEAR(c / 40000.0, 0.25, 0.02);
+}
+
+TEST(Rng, ZipfDrawsArePinned) {
+  // The first 1000 draws (one digit each) for two (n, theta) pairs, captured
+  // from the pow-per-step CDF walk. The cached prefix sums must reproduce
+  // them exactly: workloads draw conflict classes from this stream, so any
+  // drift changes every Zipf-skewed run.
+  struct Golden {
+    std::uint64_t n;
+    double theta;
+    const char* draws;
+  };
+  const Golden goldens[] = {
+      {8, 0.9,
+       "34001540103100011102002102022010031000300400272531024000101300661505207450070164"
+       "00002072770020250461511425037063501134010103021005014056060006153311002100402000"
+       "15122501321740001056614216060217201301001001744005422100310170102340550160100110"
+       "07004152022200107022001205202061432006322201013006162351125210504102013000010227"
+       "00120110012011011372110011060111001330010005220251553700263011403070470221020321"
+       "40643007410020100070615220320062001070005004001512026555030300007031003500743031"
+       "71405621600340164154114305142064043611251572032214405034001220516713720472221020"
+       "40317305020006044050307111201413051005675103110254021311020002305003150251327003"
+       "71600302025123110005012702507100502653011731402471542033130070055015334003151121"
+       "00721216713111670311013241514600221111703014140210110015200251750060020241021100"
+       "40002607415000332062031100030043141014500211221676136105522103411661004520000112"
+       "64023040155520010245720632572703231021270006613700160200530665003670250310223241"
+       "7010202000231030012002230700104000350106"},
+      {10, 1.2,
+       "24000630103100011102001101011010020000200400182621024000000200770405208460080174"
+       "00002081890010250371610415038063501123010103021004014056060006053310002100401000"
+       "05111501320940000057714116070208100301001001943005412000200190102340550170100110"
+       "09004152022100108011001105102061431008211100013007162251116110504001002000010228"
+       "00020110001011010291100001080111001230010005110251563900172011302090490220020311"
+       "30643008410020100080715110320072001080005004001601017665030300009031003500943020"
+       "90406611700240083054114205142073032610251592031103405034001120517913910481120020"
+       "40319205010007044050308101200413041004685102110154011311010002305003150151228002"
+       "80700302025122110005012902509100602752010831302490641032120090055005223003150011"
+       "00921107903111780300002230513700111001903003140200100004200160850070020240021100"
+       "40001708415000232072031100020032040014500110110687026004622002310681004610000002"
+       "64013040054510000135810732591903221010290007712900160200530775002780160210113241"
+       "8000102000131030012002220900104000260106"},
+  };
+  for (const Golden& g : goldens) {
+    Rng rng(20261017);
+    std::string got;
+    for (int i = 0; i < 1000; ++i) got += static_cast<char>('0' + rng.zipf(g.n, g.theta));
+    EXPECT_EQ(got, g.draws) << "n " << g.n << " theta " << g.theta;
+  }
 }
 
 TEST(Rng, ZipfSkewFavorsLowRanks) {

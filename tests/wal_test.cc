@@ -330,7 +330,8 @@ TEST(DurableStore, GroupCommitBatchesMultipleCommitsPerFsync) {
       const TxnId txn = 0;
       store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i}});
       const ClassId klass = static_cast<ClassId>(i % 2);
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, static_cast<TOIndex>(i),
+                   std::span<const ClassId>(&klass, 1), /*horizon=*/0);
     });
   }
   sim.run_until(sim.now() + kSecond);
@@ -352,7 +353,8 @@ TEST(DurableStore, RestartRebuildsExactCommittedState) {
       const TxnId txn = 0;
       store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i * 7}});
       const ClassId klass = static_cast<ClassId>(i % 2);
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, static_cast<TOIndex>(i),
+                   std::span<const ClassId>(&klass, 1), /*horizon=*/0);
     });
   }
   sim.run_until(sim.now() + kSecond);
@@ -389,7 +391,8 @@ TEST(DurableStore, RestartSurvivesTornTailAndDropsLaterSegments) {
         store.memory().write(txn, static_cast<ObjectId>(i % 8),
                              Value{std::string(32, static_cast<char>('a' + i % 26))});
         const ClassId klass = 0;
-        store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+        store.commit(txn, static_cast<TOIndex>(i),
+                     std::span<const ClassId>(&klass, 1), /*horizon=*/0);
       });
     }
     sim.run_until(sim.now() + kSecond);
@@ -442,7 +445,8 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
       store.memory().write(txn, static_cast<ObjectId>(i % 8),
                            Value{std::string(32, static_cast<char>('a' + i % 26))});
       const ClassId klass = 0;
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, static_cast<TOIndex>(i),
+                   std::span<const ClassId>(&klass, 1), /*horizon=*/0);
     });
   }
   sim.run_until(sim.now() + 5 * kSecond);
@@ -458,12 +462,13 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
   EXPECT_EQ(stats->checkpoint_restores, 1u);
 }
 
-/// Commits one transaction writing `writes` under `classes` at `index`.
+/// Commits one transaction writing `writes` under `classes` at `index`,
+/// trimming the written chains to `horizon` (0 keeps every version).
 void commit_writes(DurableStore& store, TOIndex index, std::vector<ClassId> classes,
-                   std::vector<std::pair<ObjectId, Value>> writes) {
+                   std::vector<std::pair<ObjectId, Value>> writes, TOIndex horizon = 0) {
   const TxnId txn = 0;
   for (auto& [obj, value] : writes) store.memory().write(txn, obj, std::move(value));
-  store.commit(txn, index, classes);
+  store.commit(txn, index, classes, horizon);
 }
 
 TEST(WalGolden, CheckpointFileBytes) {
@@ -519,6 +524,46 @@ TEST(WalGolden, CheckpointFileBytes) {
   const fs::path copy = tmp.dir / "copy.bin";
   ASSERT_TRUE(wal::write_checkpoint(copy, data));
   EXPECT_EQ(read_file(copy), bytes);
+}
+
+TEST(DurableStore, CheckpointCarriesOnlyReachableVersions) {
+  // 1000 commits over 8 objects, each trimming its chain to a horizon one
+  // behind the committing index: the checkpoint holds what snapshots can
+  // still read (at most 2 versions per object), not the 125-version history.
+  TempDir tmp;
+  Simulator sim;
+  StorageConfig config = durable_config();
+  config.checkpoint_interval = 100 * kMillisecond;
+  DurableStore store(sim, config, tmp.dir / "site-0", 1, 8);
+  for (int i = 1; i <= 1000; ++i) {
+    sim.schedule_at(i * 50 * kMicrosecond, [&store, i] {
+      const auto index = static_cast<TOIndex>(i);
+      commit_writes(store, index, {0}, {{static_cast<ObjectId>(i % 8), Value{std::int64_t{i}}}},
+                    /*horizon=*/index - 1);
+    });
+  }
+  sim.run_until(sim.now() + 150 * kMillisecond);  // all commits, then one checkpoint
+  ASSERT_EQ(store.wal_stats()->checkpoints, 1u);
+
+  wal::CheckpointData data;
+  ASSERT_TRUE(wal::read_checkpoint(tmp.dir / "site-0" / "checkpoint.bin", data));
+  EXPECT_EQ(data.max_index, 1000u);
+  ASSERT_EQ(data.chains.size(), 8u);
+  std::vector<std::int64_t> latest;
+  for (const auto& [obj, versions] : data.chains) {
+    EXPECT_GE(versions.size(), 1u);
+    EXPECT_LE(versions.size(), 2u) << "object " << obj;
+    latest.push_back(as_int(*store.memory().read_latest(obj)));
+  }
+
+  store.crash();
+  const RecoveredState recovered = store.restart_from_disk();
+  EXPECT_EQ(recovered.max_index, 1000u);
+  for (ObjectId obj = 0; obj < 8; ++obj) {
+    EXPECT_EQ(as_int(*store.memory().read_latest(obj)), latest[obj]) << "object " << obj;
+  }
+  EXPECT_EQ(store.memory().total_versions(), 8u) << "a restart keeps the latest version only";
+  EXPECT_EQ(store.memory().snapshot_floor(), 1000u) << "no snapshot below the restored state";
 }
 
 TEST(DurableStore, CheckpointHoldsExactlyTheCommittedChains) {
