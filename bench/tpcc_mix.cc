@@ -65,61 +65,6 @@ BENCHMARK(BM_TpccMix)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-// Parallel-driver sweep: the full TPC-C-lite mix (10% remote NewOrder /
-// 15% remote Payment included) on an 8-site OTP cluster, classic loop
-// (threads=1) vs the sharded engine with 2/4/8 workers. Fixed work per
-// iteration: real_time is the serial-vs-parallel wall-clock comparison and
-// tools/run_benches.py derives the speedup table from the threads counter.
-// The audit still runs per site - the parallel driver must not cost any
-// consistency.
-void BM_TpccMixThreads(benchmark::State& state) {
-  // threads arg: 1 = classic loop, N>=2 = sharded with N workers, 0 =
-  // sharded with one worker (windowing overhead only, no barrier traffic).
-  const auto threads = static_cast<unsigned>(state.range(0));
-  ClusterTotals t;
-  double duration_s = 0;
-  bool audit_clean = true;
-  for (auto _ : state) {
-    ClusterConfig config;
-    config.n_sites = 8;
-    config.n_classes = 16;
-    tpcc::Layout layout;
-    config.objects_per_class = layout.objects_per_warehouse();
-    config.seed = 1999;
-    config.net = lan();
-    config.parallel.threads = threads == 0 ? 1 : threads;
-    config.parallel.force_sharded = threads == 0;
-    auto cluster = std::make_unique<Cluster>(config);
-    tpcc::MixConfig mix;
-    mix.txn_per_second_per_site = 250;  // high-throughput regime
-    mix.duration = 2 * kSecond;
-    mix.warehouse_skew_theta = 0.6;
-    mix.remote_txn_fraction = 0.1;
-    tpcc::TpccDriver driver(*cluster, layout, mix, 2024);
-    driver.start();
-    cluster->run_for(mix.duration);
-    cluster->quiesce(180 * kSecond);
-    t = totals(*cluster);
-    duration_s = static_cast<double>(cluster->sim().now()) / 1e9;
-    for (SiteId s = 0; s < cluster->site_count(); ++s) {
-      audit_clean &= driver.audit(s).empty();
-    }
-  }
-  state.SetLabel(threads == 1 ? "classic-loop"
-                              : (threads == 0 ? "sharded-1worker" : "sharded"));
-  state.counters["threads"] = static_cast<double>(threads == 0 ? 1 : threads);
-  state.counters["txn_per_s"] = goodput(t, 8, duration_s, false);
-  state.counters["latency_ms"] = to_ms(t.commit_latency_ns.mean());
-  state.counters["audit_clean"] = audit_clean ? 1.0 : 0.0;
-}
-BENCHMARK(BM_TpccMixThreads)
-    ->ArgNames({"threads"})
-    ->ArgsProduct({{1, 0, 2, 4, 8}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 // Storage-tier sweep: the same mix over the in-memory backend (durable:0,
 // the pre-storage-tier configuration - its goodput/latency rows are the
 // regression guard) and the group-commit WAL backend (durable:1). Durable

@@ -140,23 +140,19 @@ void ConservativeReplica::to_deliver_one(TxnRecord* txn) {
 
   metrics_.opt_to_gap_ns.add(static_cast<double>(txn->to_delivered_at - txn->opt_delivered_at));
   --buffered_;
-
-  if (txn->expired) {
-    // Dropped: never enters the queues (the conservative engine executes in
-    // definitive order, so nothing optimistic exists to undo). Watermarks
-    // still advance past the empty slot, with a wake for waiting queries.
-    const TOIndex index = txn->to_index;
-    ++metrics_.deadline_expired_queue;
-    for (ClassId c : classes) queries_.note_committed(c, index, /*wake=*/false);
-    queries_.wake_waiters(index);
-    txns_.retire(txn);
-    return;
-  }
   ++queued_;
 
   // Enter every covered queue in TO-delivery order (identical at all sites),
-  // ascending by class; run once heading all of them.
+  // ascending by class; run once heading all of them. A dropped transaction
+  // queues too (the conservative engine executes in definitive order, so
+  // nothing optimistic exists to undo): its slot commits nothing, but the
+  // watermarks may only pass it once every earlier transaction of its
+  // classes has committed, i.e. when it heads all of its queues.
   for (ClassId c : classes) queues_[c].append(txn);
+  if (txn->expired) {
+    retire_expired_heads(classes);
+    return;
+  }
   try_execute(txn);
 }
 
@@ -180,7 +176,7 @@ bool ConservativeReplica::heads_all_queues(const TxnRecord* txn) const {
 }
 
 void ConservativeReplica::try_execute(TxnRecord* txn) {
-  if (txn->running || txn->exec != ExecState::active) return;
+  if (txn->expired || txn->running || txn->exec != ExecState::active) return;
   if (!heads_all_queues(txn)) return;
   submit_execution(txn);
 }
@@ -255,7 +251,35 @@ void ConservativeReplica::on_complete(TxnRecord* txn) {
   // commit protocol of the QueryEngine).
   for (ClassId c : classes) queries_.note_committed(c, committed_index, /*wake=*/false);
   queries_.wake_waiters(committed_index);
+  // Drops the removal exposed retire only now, behind txn's watermarks.
+  retire_expired_heads(classes);
   txns_.retire(txn);  // the record slot is recycled by the next acquire
+}
+
+void ConservativeReplica::retire_expired_heads(std::span<const ClassId> classes) {
+  retire_stack_.assign(classes.begin(), classes.end());
+  while (!retire_stack_.empty()) {
+    const ClassId c = retire_stack_.back();
+    retire_stack_.pop_back();
+    TxnRecord* head = queues_[c].head();
+    if (head == nullptr || !head->expired || !heads_all_queues(head)) continue;
+    // The slot commits nothing, but the watermarks advance past it (with a
+    // wake): a query waiting on this index would otherwise block forever,
+    // and the recovery replay relies on the watermark covering dropped slots.
+    const auto covered = head->request->class_span();
+    const TOIndex index = head->to_index;
+    for (ClassId d : covered) queues_[d].remove_head(head);
+    --queued_;
+    ++metrics_.deadline_expired_queue;
+    for (ClassId d : covered) {
+      if (TxnRecord* next = queues_[d].head()) try_execute(next);
+    }
+    for (ClassId d : covered) queries_.note_committed(d, index, /*wake=*/false);
+    queries_.wake_waiters(index);
+    // A newly exposed head may itself be a drop.
+    retire_stack_.insert(retire_stack_.end(), covered.begin(), covered.end());
+    txns_.retire(head);
+  }
 }
 
 void ConservativeReplica::crash_recover_reset() {

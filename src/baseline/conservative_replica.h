@@ -44,7 +44,7 @@ class ConservativeReplica final : public ReplicaBase {
   void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) override;
   void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
   std::size_t in_flight() const override {
-    return buffered_ + queued_ + (metrics_.queries_started - metrics_.queries_done);
+    return buffered_ + queued_ + metrics_.queries_in_flight();
   }
   const ReplicaMetrics& metrics() const override { return metrics_; }
   SiteId site() const override { return self_; }
@@ -75,6 +75,10 @@ class ConservativeReplica final : public ReplicaBase {
   void on_to_deliver_batch(std::span<const ToDelivery> batch);
   void to_deliver_one(TxnRecord* txn);
   bool heads_all_queues(const TxnRecord* txn) const;
+  /// Retires every deadline-dropped transaction that heads all of its queues,
+  /// starting from the heads of `classes` and following the heads each
+  /// retire exposes.
+  void retire_expired_heads(std::span<const ClassId> classes);
   void try_execute(TxnRecord* txn);
   void submit_execution(TxnRecord* txn);
   void on_complete(TxnRecord* txn);
@@ -93,7 +97,8 @@ class ConservativeReplica final : public ReplicaBase {
   /// Per-class virtual service clock for deadline budgets (see OtpReplica).
   std::vector<SimTime> service_clock_;
   std::size_t buffered_ = 0;  ///< Opt-delivered, not yet TO-delivered
-  std::size_t queued_ = 0;    ///< TO-delivered, not yet committed
+  std::size_t queued_ = 0;    ///< TO-delivered, not yet committed or dropped
+  std::vector<ClassId> retire_stack_;  ///< retire_expired_heads worklist
 
   std::uint64_t next_client_seq_ = 0;
   ReplicaMetrics metrics_;

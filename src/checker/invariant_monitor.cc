@@ -12,9 +12,6 @@ InvariantMonitor::InvariantMonitor(Cluster& cluster, Config config)
     : cluster_(cluster), config_(config), recorder_(cluster) {
   high_watermark_.assign(cluster_.site_count(),
                          std::vector<TOIndex>(cluster_.config().n_classes, 0));
-  // Sampling runs as hub control events: site phases never overlap the hub
-  // phase, so reading each site's durable watermarks here is race-free in
-  // sharded mode (same model as crash/partition state).
   cluster_.sim().schedule_after(config_.sample_interval, [this] { sample(); });
 }
 

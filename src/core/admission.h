@@ -12,8 +12,8 @@
 // which turns client retry into synchronized thundering herds.
 //
 // Decisions are a pure function of the two signals and the controller's
-// current mode, all of which are deterministic per site, so sharded runs
-// stay bit-for-bit identical across worker-thread counts.
+// current mode, all of which are deterministic per site, so a run repeats
+// bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -49,14 +49,7 @@ void Cluster::build(ReplicaFactory factory) {
     std::filesystem::create_directories(data_root_, ec);
     OTPDB_CHECK_MSG(!ec, "cannot create the cluster data directory");
   }
-  if (config_.parallel.sharded()) {
-    engine_ = std::make_unique<ShardedEngine>(config_.n_sites, config_.parallel);
-  }
-  // The network runs on the hub shard; each site's protocol stack (failure
-  // detector, broadcast endpoint, replica) runs on the site's own shard. In
-  // classic mode both are the one simulator.
-  net_ = std::make_unique<Network>(sim(), config_.n_sites, config_.net, rng_.split());
-  if (engine_) net_->attach_engine(*engine_);
+  net_ = std::make_unique<Network>(sim_, config_.n_sites, config_.net, rng_.split());
   if (config_.chaos.enabled()) {
     // Armed with its own split AFTER the network's, so a chaos-off run draws
     // the exact same streams as a pre-chaos build.
@@ -64,29 +57,27 @@ void Cluster::build(ReplicaFactory factory) {
   }
 
   for (SiteId s = 0; s < config_.n_sites; ++s) {
-    fds_.push_back(std::make_unique<FailureDetector>(site_sim(s), *net_, s, config_.fd));
+    fds_.push_back(std::make_unique<FailureDetector>(sim_, *net_, s, config_.fd));
   }
   for (SiteId s = 0; s < config_.n_sites; ++s) {
     switch (config_.abcast) {
       case AbcastKind::optimistic:
         abcasts_.push_back(
-            std::make_unique<OptAbcast>(site_sim(s), *net_, *fds_[s], s, config_.opt));
+            std::make_unique<OptAbcast>(sim_, *net_, *fds_[s], s, config_.opt));
         break;
       case AbcastKind::sequencer:
         abcasts_.push_back(
-            std::make_unique<SequencerAbcast>(site_sim(s), *net_, s, config_.sequencer));
+            std::make_unique<SequencerAbcast>(sim_, *net_, s, config_.sequencer));
         break;
     }
     // Dense object index covering the catalog's whole contiguous id space.
-    // Durable backends schedule their flush/checkpoint events on the site's
-    // own shard, keeping the sharded engine's phase confinement intact.
-    backends_.push_back(make_storage_backend(config_.storage, site_sim(s), s,
+    backends_.push_back(make_storage_backend(config_.storage, sim_, s,
                                              config_.n_classes, catalog_.object_count(),
                                              data_root_));
   }
   for (SiteId s = 0; s < config_.n_sites; ++s) {
     replicas_.push_back(factory(
-        ReplicaDeps{site_sim(s), *net_, *abcasts_[s], *backends_[s], catalog_, registry_, s}));
+        ReplicaDeps{sim_, *net_, *abcasts_[s], *backends_[s], catalog_, registry_, s}));
     OTPDB_CHECK(replicas_.back() != nullptr);
     replicas_.back()->configure_admission(config_.admission);
   }
@@ -130,8 +121,8 @@ void Cluster::load_everywhere(ObjectId obj, Value value) {
 }
 
 bool Cluster::quiesce(SimTime deadline_span) {
-  const SimTime deadline = sim().now() + deadline_span;
-  while (sim().now() < deadline) {
+  const SimTime deadline = sim_.now() + deadline_span;
+  while (sim_.now() < deadline) {
     bool idle = true;
     for (const auto& replica : replicas_) idle &= replica->in_flight() == 0;
     if (idle) return true;

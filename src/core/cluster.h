@@ -23,7 +23,6 @@
 #include "db/storage_backend.h"
 #include "db/versioned_store.h"
 #include "net/network.h"
-#include "sim/sharded_engine.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -60,13 +59,6 @@ struct ClusterConfig {
   /// deterministically from a dedicated rng split. An empty plan leaves the
   /// run bit-identical to pre-chaos builds.
   ChaosConfig chaos;
-
-  /// Driver selection: threads == 1 (default) runs the classic single-queue
-  /// loop; threads >= 2 (or force_sharded) runs the site-sharded engine with
-  /// conservative lookahead windows (see sim/sharded_engine.h). All sharded
-  /// runs of one configuration are bit-for-bit identical regardless of the
-  /// thread count.
-  ParallelismConfig parallel;
 };
 
 /// Per-site dependencies handed to a replica factory.
@@ -92,17 +84,8 @@ class Cluster {
   /// the cluster created it (temp-dir default for durable runs).
   ~Cluster();
 
-  /// The control clock: the single simulator in classic mode, the network
-  /// hub shard in sharded mode. Schedule chaos injection and client
-  /// submissions that address arbitrary sites here; never mutate
-  /// network-wide state from a site-shard event.
-  Simulator& sim() { return engine_ ? engine_->hub() : sim_; }
-  /// The shard owning `site`'s replica/abcast/store events (== sim() in
-  /// classic mode). Per-site client streams schedule here so they run on the
-  /// site's own worker.
-  Simulator& site_sim(SiteId site) { return engine_ ? engine_->site(site) : sim_; }
-  /// The sharded engine, or nullptr when the classic loop drives the run.
-  ShardedEngine* engine() { return engine_.get(); }
+  /// The one simulator driving every site, the network and the clients.
+  Simulator& sim() { return sim_; }
   Network& net() { return *net_; }
   const ClusterConfig& config() const { return config_; }
   const PartitionCatalog& catalog() const { return catalog_; }
@@ -137,13 +120,7 @@ class Cluster {
   void load_everywhere(ObjectId obj, Value value);
 
   /// Runs the simulation for a fixed span of simulated time.
-  void run_for(SimTime span) {
-    if (engine_) {
-      engine_->run_until(engine_->now() + span);
-    } else {
-      sim_.run_until(sim_.now() + span);
-    }
-  }
+  void run_for(SimTime span) { sim_.run_until(sim_.now() + span); }
 
   /// Crashes a site: it stops sending and receiving; its volatile replica and
   /// protocol state is considered lost (cleared on recovery). The storage
@@ -188,9 +165,7 @@ class Cluster {
   void build(ReplicaFactory factory);
 
   ClusterConfig config_;
-  Simulator sim_;  // classic-mode clock (unused when engine_ is set)
-  // Destroyed after everything holding shard references (declaration order).
-  std::unique_ptr<ShardedEngine> engine_;
+  Simulator sim_;
   Rng rng_;
   PartitionCatalog catalog_;
   ProcedureRegistry registry_;

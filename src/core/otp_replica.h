@@ -98,7 +98,7 @@ class OtpReplica final : public ReplicaBase {
 
   /// Transactions not yet committed plus queries not yet answered.
   std::size_t in_flight() const override {
-    return txns_.live() + (metrics_.queries_started - metrics_.queries_done);
+    return txns_.live() + metrics_.queries_in_flight();
   }
 
   /// Introspection for tests: the class queue of `klass`.

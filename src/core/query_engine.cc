@@ -106,13 +106,15 @@ void QueryEngine::wake_waiters(TOIndex index) {
 void QueryEngine::reset_volatile() {
   for (auto& history : to_history_) history.clear();
   last_to_index_ = 0;
-  // Parked queries are dropped. Queries still executing keep their snapshot
-  // pinned, so trimming cannot outrun them; when they run they wait for the
-  // replay like any catch-up query (see run()).
+  // Parked queries are dropped (and counted, so in_flight() drains). Queries
+  // still executing keep their snapshot pinned, so trimming cannot outrun
+  // them; when they run they wait for the replay like any catch-up query
+  // (see run()).
   for (const std::vector<Waiter>* parked : {&waiters_, &catchup_}) {
     for (const Waiter& w : *parked) {
       unpin(pool_[w.slot].snapshot);
       release_slot(w.slot);
+      ++metrics_.queries_dropped;
     }
   }
   waiters_.clear();

@@ -83,9 +83,10 @@ class QueryEngine {
   TOIndex last_committed(Domain domain) const { return last_committed_[domain]; }
 
   /// Crash recovery: clears volatile state (TO-delivery history, snapshot
-  /// index, waiting queries) while keeping the per-domain durable commit
-  /// watermarks. The history is rebuilt by the redo replay; until it passes
-  /// the store's snapshot floor, new queries wait for it (see submit()).
+  /// index, waiting queries - counted as dropped, never completed) while
+  /// keeping the per-domain durable commit watermarks. The history is rebuilt
+  /// by the redo replay; until it passes the store's snapshot floor, new
+  /// queries wait for it (see submit()).
   void reset_volatile();
 
   /// Cold restart: overwrites the per-domain commit watermarks with the

@@ -258,7 +258,7 @@ void DurableStore::truncate_below(TOIndex floor) {
 }
 
 void DurableStore::crash() {
-  // Flag only - no cross-shard event surgery. A flush or checkpoint event
+  // Flag only - no event surgery. A flush or checkpoint event
   // that fires during the outage sees down_ and keeps its hands off; the
   // pending buffer stays in (simulated) RAM for a warm reopen() and is
   // dropped by a cold restart_from_disk().

@@ -166,41 +166,41 @@ void ChaosRuntime::recompute(SimTime now) {
   }
 }
 
-void ChaosRuntime::schedule_flap_toggle(Simulator& hub, std::size_t clause, SimTime at) {
+void ChaosRuntime::schedule_flap_toggle(Simulator& sim, std::size_t clause, SimTime at) {
   if (at >= plan_.clauses[clause].end) return;  // the clause-end event closes it out
-  hub.schedule_at(at, [this, &hub, clause] {
+  sim.schedule_at(at, [this, &sim, clause] {
     const FaultClause& c = plan_.clauses[clause];
-    ++hub_stats_->flap_transitions;
-    recompute(hub.now());
+    ++stats_->flap_transitions;
+    recompute(sim.now());
     on_transition_();
     // Self-reschedule the next edge of the duty cycle.
     const SimTime down_span = static_cast<SimTime>(static_cast<double>(c.period) * c.duty_down);
-    const SimTime phase = (hub.now() - c.start) % c.period;
-    const SimTime cycle_start = hub.now() - phase;
+    const SimTime phase = (sim.now() - c.start) % c.period;
+    const SimTime cycle_start = sim.now() - phase;
     const SimTime next = phase < down_span ? cycle_start + down_span : cycle_start + c.period;
-    schedule_flap_toggle(hub, clause, next);
+    schedule_flap_toggle(sim, clause, next);
   });
 }
 
-void ChaosRuntime::arm(Simulator& hub, std::function<void()> on_transition, ChaosStats& stats) {
+void ChaosRuntime::arm(Simulator& sim, std::function<void()> on_transition, ChaosStats& stats) {
   on_transition_ = std::move(on_transition);
-  hub_stats_ = &stats;
+  stats_ = &stats;
   if (!has_blocking_) return;
-  recompute(hub.now());
-  auto transition = [this, &hub] {
-    recompute(hub.now());
+  recompute(sim.now());
+  auto transition = [this, &sim] {
+    recompute(sim.now());
     on_transition_();
   };
   for (std::size_t c = 0; c < plan_.clauses.size(); ++c) {
     const FaultClause& clause = plan_.clauses[c];
     switch (clause.kind) {
       case FaultKind::one_way_partition:
-        if (clause.start > hub.now()) hub.schedule_at(clause.start, transition);
-        if (clause.end < kSimTimeMax) hub.schedule_at(clause.end, transition);
+        if (clause.start > sim.now()) sim.schedule_at(clause.start, transition);
+        if (clause.end < kSimTimeMax) sim.schedule_at(clause.end, transition);
         break;
       case FaultKind::flap:
-        schedule_flap_toggle(hub, c, std::max(clause.start, hub.now()));
-        if (clause.end < kSimTimeMax) hub.schedule_at(clause.end, transition);
+        schedule_flap_toggle(sim, c, std::max(clause.start, sim.now()));
+        if (clause.end < kSimTimeMax) sim.schedule_at(clause.end, transition);
         break;
       default:
         break;

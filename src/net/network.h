@@ -14,46 +14,16 @@
 // replace the single bus with per-sender links and a per-site-pair delay
 // matrix: every (from, to) edge has its own base delay, jitter distribution,
 // and an independent rng stream, so geo-replicated latency structure is
-// first-class. The per-edge conservative lookahead is
-//     lookahead(from, to) = serialization_time + edge(from, to).base_delay,
-// a strict floor under every jitter draw (link wait, uniform noise, and
-// hiccup delays are all non-negative); the channel-clock engine synchronizes
-// on exactly these floors.
+// first-class. Every delivery on an edge takes at least
+// serialization_time + edge(from, to).base_delay: link wait, uniform noise,
+// and hiccup delays are all non-negative.
 //
 // The model also supports per-receiver message loss (with transport-level
 // retransmission so channels stay reliable, as the paper assumes), site
 // crash/recovery, and network partitions, all deterministic under a seed.
-//
-// Driving modes:
-//  * Classic (default): one Simulator runs the whole cluster; sends are
-//    processed inline and deliveries invoke handlers directly.
-//  * Sharded + shared bus (flat/lan): the network is the hub shard of a
-//    ShardedEngine running global windows. Sends from site shards are
-//    buffered in per-sender outboxes and flushed at window barriers in
-//    canonical (time, sender, seq) order; delivery events run on the hub
-//    (fault checks, arrival logs) and hand the handler invocation off to the
-//    receiver's shard via its inbox.
-//  * Sharded + switched: sends are processed inline on the *sending* shard
-//    (the per-sender link clock and the per-edge rng streams are sender-
-//    local, so no global bus order exists to wait for). Self-deliveries are
-//    scheduled immediately on the sending shard; cross-site deliveries land
-//    in per-edge staging cells, double-buffered by round parity, and are
-//    drained into the receiver's queue in canonical sender order - by the
-//    receiver's own worker at its next phase start (the sharded hub phase)
-//    or serially at the barrier (ParallelismConfig::sharded_hub_drain =
-//    false). Fault checks run at delivery time on the receiver's shard.
-//
-// Sharded-mode fault model: crash/partition state is only mutated by hub
-// control events (or between runs), while site phases read it. Under global
-// windows sends are crash-checked at the window barrier, so a transition
-// injected mid-window applies to every send of that window; under channel
-// clocks sends are checked inline and deliveries at fire time, so a
-// transition applies from each site's *next* round. Either way transitions
-// quantize to round boundaries, at most one incoming lookahead away from
-// their classic-mode effect - a deliberate, deterministic divergence from
-// the classic loop, on top of the same-timestamp cross-shard tie-break
-// difference documented in sim/sharded_engine.h; histories remain
-// bit-for-bit identical across sharded thread counts for every profile.
+// Sends are processed inline at the sender's clock; every delivery is one
+// simulator event that re-checks crash, partition and chaos state when it
+// fires and then invokes the receiver's handler.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +36,6 @@
 #include "net/fault_plan.h"
 #include "net/message.h"
 #include "net/topology.h"
-#include "sim/sharded_engine.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -105,41 +74,18 @@ struct NetConfig {
 /// the receiver's subscribed handler for the message's channel. Crashed sites
 /// neither send nor receive; partitioned site pairs do not exchange messages
 /// while the partition holds.
-class Network final : public SharedMedium {
+class Network {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  /// `sim` is the cluster simulator in classic mode, the hub shard in
-  /// sharded mode.
   Network(Simulator& sim, std::size_t n_sites, NetConfig config, Rng rng);
 
   std::size_t site_count() const { return site_count_; }
   const NetConfig& config() const { return config_; }
   /// The materialized per-site-pair matrix (empty/flat for the default).
   const TopologyMatrix& topology() const { return topo_; }
-  /// True when this topology uses per-sender links (channel-clock capable).
+  /// True when this topology uses per-sender links.
   bool switched() const { return switched_; }
-
-  /// Switches to sharded (mailbox) mode. The engine's hub must be the
-  /// Simulator this network was constructed with.
-  void attach_engine(ShardedEngine& engine);
-
-  // -- SharedMedium -----------------------------------------------------------
-
-  /// Conservative lookahead floor over all site pairs: flat topologies
-  /// return serialization_time + base_delay; matrix topologies the minimum
-  /// cross-site per-edge lookahead.
-  SimTime lookahead() const override;
-  /// Per-edge lookahead: serialization_time + edge(from, to).base_delay - a
-  /// lower bound on (delivery - send) for every message on this edge, under
-  /// every jitter draw (only loss retransmission waits can exceed it, and
-  /// they only add delay).
-  SimTime lookahead(SiteId32 from, SiteId32 to) const override;
-  bool per_edge() const override { return switched_; }
-  void begin_site_window(SiteId32 site, Simulator& shard) override;
-  void flush_outboxes() override;
-  SimTime earliest_staged(SiteId32 site) override;
-  void end_round() override { write_parity_ ^= 1u; }
 
   /// Registers the handler invoked when `site` receives a message on `channel`.
   /// At most one handler per (site, channel).
@@ -153,8 +99,6 @@ class Network final : public SharedMedium {
   MsgId unicast(SiteId from, SiteId to, Channel channel, PayloadPtr payload);
 
   /// Crash fault injection: a crashed site sends and receives nothing.
-  /// Sharded mode: call from the hub (a Cluster::sim() control event or
-  /// between runs), never from a site-shard event.
   void crash(SiteId site);
   void recover(SiteId site);
   bool crashed(SiteId site) const { return crashed_[site]; }
@@ -168,22 +112,16 @@ class Network final : public SharedMedium {
   /// Arms the chaos plane: executes `config.plan` deterministically from
   /// `chaos_rng` (split per edge in switched mode) and, when the plan can
   /// duplicate or `config.transport_dedup` is set, suppresses re-deliveries
-  /// of already-seen MsgIds per receiver. Call once, before the run starts
-  /// (classic mode) or before the engine's first round (sharded mode); a run
-  /// without arm_chaos draws nothing from the chaos streams and is
+  /// of already-seen MsgIds per receiver. Call once, before the run starts;
+  /// a run without arm_chaos draws nothing from the chaos streams and is
   /// bit-identical to pre-chaos builds.
   void arm_chaos(const ChaosConfig& config, Rng chaos_rng);
   bool chaos_armed() const { return chaos_ != nullptr || dedup_; }
-  /// Aggregated chaos counters (sums the per-shard rows; call between runs
-  /// or after quiesce, not mid-phase).
-  ChaosStats chaos_stats() const;
+  /// Chaos counters (all zero when no plan is armed).
+  const ChaosStats& chaos_stats() const { return chaos_stats_; }
 
   /// Total messages delivered (for bench counters).
-  std::uint64_t delivered_count() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t d : delivered_by_) n += d;
-    return n;
-  }
+  std::uint64_t delivered_count() const { return delivered_; }
 
   /// Arrival-order recording used by the Figure 1 experiment: when enabled,
   /// every delivery on `channel` is appended to the per-site arrival log.
@@ -191,92 +129,65 @@ class Network final : public SharedMedium {
   const std::vector<std::vector<MsgId>>& arrival_logs() const { return arrival_logs_; }
 
  private:
-  /// A send buffered by a site (or control) event, flushed at the next
-  /// window barrier. `to` is kEveryone for a multicast.
-  struct SendRequest {
-    SimTime at = 0;  // the sending shard's clock at the send
-    MsgId id;
-    SiteId to = 0;
-    Channel channel = 0;
-    PayloadPtr payload;
-  };
   static constexpr SiteId kEveryone = static_cast<SiteId>(-1);
 
-  /// A delivery that survived the hub-side fault checks, awaiting handler
-  /// invocation on the receiver's shard (shared-bus sharded mode).
-  struct Handoff {
-    SimTime at = 0;
-    Message msg;
-  };
-
-  // -- shared-bus path --------------------------------------------------------
-  void process_send(SendRequest& request);
+  /// Puts one frame on the sender's medium (the shared bus, or the sender's
+  /// own link when switched) and transmits it to `to` or, for kEveryone, to
+  /// every live site in ascending order.
+  MsgId send(SiteId from, SiteId to, Channel channel, PayloadPtr payload);
+  /// Draws one receiver's delay (jitter, loss retransmissions, chaos) and
+  /// schedules the delivery, plus a duplicate when chaos injects one.
+  void transmit(SiteId from, SiteId to, const Message& msg, SimTime on_wire);
   void deliver(SiteId to, Message msg, SimTime fire_at);
+  /// Delivery event: fault checks at fire time, then arrival log + handler.
   void deliver_now(std::uint32_t slot);
-
-  // -- switched (per-edge) path ----------------------------------------------
-  void process_send_switched(SendRequest& request);
-  /// Stages a cross-site delivery when called from a site phase, otherwise
-  /// schedules it directly on the receiver's shard (hub phase / idle engine /
-  /// classic mode; self-deliveries always schedule directly).
-  void route_switched(SiteId from, SiteId to, Message msg, SimTime fire_at);
-  void schedule_delivery(SiteId to, Message msg, SimTime fire_at);
-  /// Receiver-side delivery: fault checks at fire time on the receiver's
-  /// shard, then arrival log + handler dispatch.
-  void deliver_switched_now(SiteId to, Message msg);
-
-  void dispatch(SiteId to, const Message& msg);
-  SimTime send_clock() const;
   /// Replays every parked message whose partition AND chaos blocks have
   /// lifted, with a fresh post-heal receiver delay; still-blocked messages
-  /// stay parked. Hub control event (heal_partition, chaos transitions).
+  /// stay parked (heal_partition, chaos transitions).
   void release_unblocked();
   /// True (and counted) when the chaos plane blocks this edge right now.
-  bool chaos_blocked(SiteId from, SiteId to, ChaosStats& row) {
+  bool chaos_blocked(SiteId from, SiteId to) {
     if (chaos_ == nullptr || !chaos_->blocked(from, to)) return false;
-    ++row.deliveries_parked;
+    ++chaos_stats_.deliveries_parked;
     return true;
   }
   /// Dedup filter: true when this MsgId was already delivered to `to` and the
   /// re-delivery must be suppressed. No-op unless dedup is armed.
-  bool duplicate_suppressed(SiteId to, const Message& msg, ChaosStats& row) {
+  bool duplicate_suppressed(SiteId to, const Message& msg) {
     if (!dedup_) return false;
     if (seen_[to].insert(msg.id).second) return false;
-    ++row.duplicates_suppressed;
+    ++chaos_stats_.duplicates_suppressed;
     return true;
-  }
-  // Chaos stats rows: [0, n) owned by the matching site shard (send draws by
-  // sender in switched mode, delivery checks by receiver), [n] by the hub
-  // (flat-path draws, flat-path delivery checks, control events).
-  ChaosStats& chaos_row(SiteId site) { return chaos_rows_[site]; }
-  ChaosStats& chaos_hub_row() { return chaos_rows_[site_count_]; }
-  Rng& chaos_edge_rng(SiteId from, SiteId to) {
-    return chaos_edge_rngs_[from * site_count_ + to];
   }
   const EdgeParams& edge_params(SiteId from, SiteId to) const {
     return topo_.flat() ? flat_edge_ : topo_.edge(from, to);
   }
-  Rng& edge_rng(SiteId from, SiteId to) { return edge_rngs_[from * site_count_ + to]; }
+  /// The stream receiver delays on (from, to) draw from: the one bus stream,
+  /// or the edge's own stream when switched.
+  Rng& delay_rng(SiteId from, SiteId to) {
+    return switched_ ? edge_rngs_[from * site_count_ + to] : rng_;
+  }
+  /// Likewise for the chaos plane's per-message draws.
+  Rng& chaos_rng(SiteId from, SiteId to) {
+    return switched_ ? chaos_edge_rngs_[from * site_count_ + to] : chaos_rng_;
+  }
   static SimTime sample_receiver_delay(Rng& rng, const EdgeParams& edge);
 
   // In-flight messages live in a recycled slab; the scheduled event captures
   // only {this, slot}, which fits the simulator's inline action buffer - no
-  // heap allocation per delivery. (Shared-bus path; the switched path
-  // captures the Message inline in the event instead - it also fits.)
+  // heap allocation per delivery.
   struct PendingDelivery {
     SiteId to = 0;
     Message msg;
   };
 
-  Simulator& sim_;  // the hub shard in sharded mode
+  Simulator& sim_;
   std::size_t site_count_;
   NetConfig config_;
   TopologyMatrix topo_;
   EdgeParams flat_edge_;  // the NetConfig fields as an EdgeParams (flat path)
   bool switched_ = false;
   Rng rng_;
-  bool sharded_ = false;
-  ShardedEngine* engine_ = nullptr;
   std::vector<std::uint64_t> next_seq_;                 // per sender
   std::vector<std::vector<Handler>> handlers_;          // [site][channel]
   std::vector<bool> crashed_;
@@ -284,7 +195,7 @@ class Network final : public SharedMedium {
   SimTime bus_free_at_ = 0;                             // shared-bus serialization
   std::vector<SimTime> link_free_at_;                   // switched: per sender NIC
   std::vector<Rng> edge_rngs_;                          // switched: [from*n+to]
-  std::vector<std::uint64_t> delivered_by_;             // per receiver
+  std::uint64_t delivered_ = 0;
   std::vector<PendingDelivery> in_flight_;        // slab, indexed by slot
   std::vector<std::uint32_t> free_flight_slots_;
   std::vector<std::vector<Message>> held_by_;     // per receiver, parked by a partition
@@ -294,37 +205,11 @@ class Network final : public SharedMedium {
   // Chaos plane (null/empty unless arm_chaos ran; the chaos rng streams are
   // split lazily there, so chaos-off runs never perturb the base streams).
   std::unique_ptr<ChaosRuntime> chaos_;
-  Rng chaos_rng_{0};                     // flat path: hub-owned draw stream
-  std::vector<Rng> chaos_edge_rngs_;     // switched path: [from*n+to], sender-owned
+  Rng chaos_rng_{0};                     // flat path: the one chaos stream
+  std::vector<Rng> chaos_edge_rngs_;     // switched path: [from*n+to]
   bool dedup_ = false;
-  std::vector<std::unordered_set<MsgId>> seen_;  // per receiver, receiver-owned
-  std::vector<ChaosStats> chaos_rows_;   // [site 0..n-1, hub]; see chaos_row()
-
-  // Sharded-mode mailboxes (shared-bus path). outbox_[s] is written only by
-  // the shard running site s's events (or the hub during its phase) and
-  // drained at barriers; inbox_[s] is written by the hub phase and drained by
-  // site s's shard at the start of its phase. Phases never overlap, so no
-  // locks are needed - the engine's barrier provides the happens-before
-  // edges.
-  std::vector<std::vector<SendRequest>> outbox_;
-  std::vector<std::vector<Handoff>> inbox_;
-  std::vector<SendRequest> flush_scratch_;
-
-  // Sharded-mode staging (switched path): per-edge cells, double-buffered by
-  // round parity. buf[write_parity_] is appended by the sending shard during
-  // its phase; buf[write_parity_ ^ 1] (flipped at the barrier) is drained by
-  // the receiving shard at its next phase start. A cell is thus touched by
-  // at most one thread per phase, with the engine barrier ordering rounds.
-  struct StagedDelivery {
-    SimTime at = 0;
-    Message msg;
-  };
-  struct EdgeCell {
-    std::vector<StagedDelivery> buf[2];
-    SimTime min_at[2] = {kSimTimeMax, kSimTimeMax};
-  };
-  std::vector<EdgeCell> staged_;  // [from*n+to]
-  unsigned write_parity_ = 0;
+  std::vector<std::unordered_set<MsgId>> seen_;  // per receiver
+  ChaosStats chaos_stats_;
 };
 
 }  // namespace otpdb

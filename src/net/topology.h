@@ -3,7 +3,7 @@
 // The paper's testbed is a single shared-Ethernet segment (NetConfig's flat
 // parameters), but the optimistic-delivery bet - spontaneous total order is
 // usually right - depends entirely on the *structure* of message latency, so
-// geo-replication experiments (ROADMAP direction 3) need a medium where every
+// geo-replication experiments need a medium where every
 // site pair has its own delay floor and jitter distribution. A TopologyMatrix
 // holds exactly that: EdgeParams per (from, to) pair plus a `switched` flag
 // selecting the medium model.
@@ -15,15 +15,12 @@
 //    profile `flat`.
 //  * switched == true: per-sender links. Each sender serializes frames on its
 //    own NIC and every (from, to) edge owns an independent rng stream, so
-//    send processing depends only on sender-local state. That is what lets
-//    the sharded engine process sends inline on the sending shard and run
-//    per-edge channel clocks (sim/sharded_engine.h).
+//    one edge's draws never shift another edge's.
 //
 // Every built-in profile declares a symmetric matrix (edge(r,s) == edge(s,r));
-// tests/net_test.cc asserts it. Lookahead contract: the conservative per-edge
-// lookahead is serialization_time + edge(from,to).base_delay, a lower bound on
-// (delivery - send) because waiting for the link, uniform noise and hiccup
-// delays are all non-negative.
+// tests/net_test.cc asserts it, along with the delivery-delay floor:
+// (delivery - send) >= serialization_time + edge(from,to).base_delay, because
+// waiting for the link, uniform noise and hiccup delays are all non-negative.
 #pragma once
 
 #include <cstddef>

@@ -52,10 +52,6 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-SimTime Simulator::next_event_time() {
-  return settle_top() ? heap_.top().at : kSimTimeMax;
-}
-
 bool Simulator::settle_top() {
   while (!heap_.empty()) {
     const Entry& top = heap_.top();

@@ -25,7 +25,7 @@ constexpr SimTime kMicrosecond = 1000;
 constexpr SimTime kMillisecond = 1000 * kMicrosecond;
 constexpr SimTime kSecond = 1000 * kMillisecond;
 
-/// Sentinel for "no event pending" (see Simulator::next_event_time).
+/// Sentinel for "never" (e.g. the end of an open-ended fault clause).
 constexpr SimTime kSimTimeMax = INT64_MAX;
 
 /// Handle for a scheduled event; usable to cancel it before it fires.
@@ -36,12 +36,6 @@ struct EventId {
 };
 
 /// Single-threaded discrete-event engine.
-///
-/// One Simulator instance is only ever driven by one thread at a time. The
-/// sharded cluster engine (sim/sharded_engine.h) runs one Simulator per site
-/// plus one for the network hub and hands them to worker threads in
-/// barrier-separated phases; all cross-shard traffic goes through the
-/// SharedMedium mailboxes, never through another shard's queue.
 class Simulator {
  public:
   /// Inline-only callback: captures must fit InlineAction::kCapacity (a
@@ -76,10 +70,6 @@ class Simulator {
 
   /// Pending (non-cancelled) event count.
   std::size_t pending() const { return live_; }
-
-  /// Firing time of the earliest pending event, or kSimTimeMax when idle.
-  /// (Non-const: drops stale cancelled heap entries as a side effect.)
-  SimTime next_event_time();
 
   /// Total events executed so far (for bench counters / loop guards).
   std::uint64_t executed() const { return executed_; }

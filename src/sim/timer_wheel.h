@@ -28,10 +28,9 @@
 // and the pump recycles one simulator slot. tests/timer_wheel_test.cc pins
 // the zero-allocation guarantee with a counting operator new.
 //
-// Determinism: the wheel is site-local state driven by its site's shard, so
-// it inherits the simulator's single-threaded schedule. Timers sharing a
-// quantized deadline fire in (level, slot, arm-order) order within one pump
-// event - a fixed rule, independent of worker threads.
+// Determinism: the wheel is driven by the simulator, so it inherits the
+// simulator's schedule. Timers sharing a quantized deadline fire in
+// (level, slot, arm-order) order within one pump event - a fixed rule.
 #pragma once
 
 #include <cstdint>

@@ -124,7 +124,7 @@ void load_initial_state(Cluster& cluster, const Layout& layout) {
 }
 
 TpccDriver::TpccDriver(Cluster& cluster, Layout layout, MixConfig config, std::uint64_t seed)
-    : cluster_(cluster), layout_(layout), config_(config), site_stats_(cluster.site_count()) {
+    : cluster_(cluster), layout_(layout), config_(config) {
   Rng master(seed);
   for (std::size_t s = 0; s < cluster.site_count(); ++s) site_rngs_.push_back(master.split());
 }
@@ -138,16 +138,8 @@ void TpccDriver::start() {
   for (SiteId s = 0; s < cluster_.site_count(); ++s) schedule_next(s, horizon);
 }
 
-MixStats TpccDriver::stats() const {
-  MixStats merged;
-  for (const MixStats& s : site_stats_) merged += s;
-  return merged;
-}
-
 void TpccDriver::schedule_next(SiteId site, SimTime horizon) {
-  // On the site's own shard: the submission event mutates only site-local
-  // state (replica, rng, per-site stats), so shards stay independent.
-  Simulator& sim = cluster_.site_sim(site);
+  Simulator& sim = cluster_.sim();
   const double gap_ns = static_cast<double>(kSecond) / config_.txn_per_second_per_site;
   const SimTime at = sim.now() +
                      static_cast<SimTime>(site_rngs_[site].exponential(gap_ns));
@@ -160,7 +152,6 @@ void TpccDriver::schedule_next(SiteId site, SimTime horizon) {
 
 void TpccDriver::submit_one(SiteId site) {
   Rng& rng = site_rngs_[site];
-  MixStats& stats = site_stats_[site];
   const auto& catalog = cluster_.catalog();
   const auto warehouse = static_cast<ClassId>(
       rng.zipf(static_cast<std::uint64_t>(catalog.class_count()),
@@ -189,7 +180,7 @@ void TpccDriver::submit_one(SiteId site) {
   PendingTxn pending;
   pending.exec_duration = exec;
   if (config_.deadline_budget != 0) {
-    pending.deadline = cluster_.site_sim(site).now() + config_.deadline_budget;
+    pending.deadline = cluster_.sim().now() + config_.deadline_budget;
   }
 
   if (dice < no_w) {
@@ -205,10 +196,10 @@ void TpccDriver::submit_one(SiteId site) {
       args.ints.push_back(rng.uniform_int(0, static_cast<std::int64_t>(layout_.n_items) - 1));
       args.ints.push_back(rng.uniform_int(1, 5));  // quantity
     }
-    ++stats.new_orders;
+    ++stats_.new_orders;
     pending.args = std::move(args);
     if (remote) {
-      ++stats.remote_new_orders;
+      ++stats_.remote_new_orders;
       pending.cross = true;
       pending.proc = procs_.new_order_remote;
       pending.classes = {warehouse, supply};
@@ -222,13 +213,13 @@ void TpccDriver::submit_one(SiteId site) {
     const std::int64_t amount = rng.uniform_int(1, 100);
     const std::int64_t customer =
         rng.uniform_int(0, static_cast<std::int64_t>(layout_.n_customers) - 1);
-    ++stats.payments;
-    stats.payment_volume += amount;
+    ++stats_.payments;
+    stats_.payment_volume += amount;
     if (remote) {
       const ClassId customer_w = pick_remote_warehouse();
       args.ints = {static_cast<std::int64_t>(warehouse),
                    static_cast<std::int64_t>(customer_w), customer, amount};
-      ++stats.remote_payments;
+      ++stats_.remote_payments;
       pending.cross = true;
       pending.proc = procs_.payment_remote;
       pending.classes = {warehouse, customer_w};
@@ -242,7 +233,7 @@ void TpccDriver::submit_one(SiteId site) {
   } else if (dice < del_w) {
     TxnArgs args;
     args.ints = {rng.uniform_int(0, static_cast<std::int64_t>(layout_.n_districts) - 1)};
-    ++stats.deliveries;
+    ++stats_.deliveries;
     pending.proc = procs_.delivery;
     pending.klass = warehouse;
     pending.args = std::move(args);
@@ -252,7 +243,7 @@ void TpccDriver::submit_one(SiteId site) {
     const Layout layout = layout_;
     const SimTime query_exec = static_cast<SimTime>(
         rng.exponential(static_cast<double>(config_.mean_query_exec_time)));
-    ++stats.stock_level_queries;
+    ++stats_.stock_level_queries;
     cluster_.replica(site).submit_query(
         [&catalog, layout, warehouse](QueryContext& ctx) {
           int low = 0;
@@ -276,19 +267,18 @@ void TpccDriver::attempt_submit(SiteId site, PendingTxn pending) {
                                                   pending.exec_duration, pending.deadline)
                     : replica.submit_update(pending.proc, pending.klass, pending.args,
                                             pending.exec_duration, pending.deadline);
-  MixStats& stats = site_stats_[site];
   switch (result) {
     case SubmitResult::admitted:
       return;
     case SubmitResult::expired:
-      ++stats.expired_presubmit;
+      ++stats_.expired_presubmit;
       return;
     case SubmitResult::shed:
     case SubmitResult::backpressure:
       break;  // retryable refusals
   }
   if (pending.attempts >= config_.max_retries) {
-    ++stats.gave_up;
+    ++stats_.gave_up;
     return;
   }
   // Deterministic exponential backoff; the jitter draw happens ONLY on a
@@ -300,10 +290,10 @@ void TpccDriver::attempt_submit(SiteId site, PendingTxn pending) {
         0, static_cast<std::int64_t>(config_.backoff_jitter)));
   }
   ++pending.attempts;
-  ++stats.retries;
+  ++stats_.retries;
   // Boxed: the event capture must stay within InlineAction::kCapacity, and a
   // PendingTxn (two vectors + scalars) does not.
-  cluster_.site_sim(site).schedule_after(
+  cluster_.sim().schedule_after(
       delay, [this, site, boxed = std::make_unique<PendingTxn>(std::move(pending))]() {
         attempt_submit(site, std::move(*boxed));
       });

@@ -115,22 +115,6 @@ struct MixStats {
   std::uint64_t retries = 0;            ///< re-submissions after shed/backpressure
   std::uint64_t gave_up = 0;            ///< updates abandoned after max_retries
   std::uint64_t expired_presubmit = 0;  ///< deadline passed before admission
-
-  /// Merge (for per-site -> cluster aggregation). Extend together with the
-  /// fields above, or merged stats silently drop the new counter.
-  MixStats& operator+=(const MixStats& o) {
-    new_orders += o.new_orders;
-    payments += o.payments;
-    deliveries += o.deliveries;
-    stock_level_queries += o.stock_level_queries;
-    remote_new_orders += o.remote_new_orders;
-    remote_payments += o.remote_payments;
-    payment_volume += o.payment_volume;
-    retries += o.retries;
-    gave_up += o.gave_up;
-    expired_presubmit += o.expired_presubmit;
-    return *this;
-  }
 };
 
 /// Drives the TPC-C-lite mix against a cluster (any engine).
@@ -138,13 +122,12 @@ class TpccDriver {
  public:
   TpccDriver(Cluster& cluster, Layout layout, MixConfig config, std::uint64_t seed);
 
-  /// Registers procedures, loads initial state, schedules the client
-  /// streams - each site's stream on its own shard (Cluster::site_sim), so
-  /// generation parallelizes with the sharded engine.
+  /// Registers procedures, loads initial state, schedules the per-site
+  /// client streams, each drawing from its own rng.
   void start();
 
-  /// Merged counters across the per-site client streams.
-  MixStats stats() const;
+  /// Counters across all the client streams.
+  const MixStats& stats() const { return stats_; }
   const Procedures& procedures() const { return procs_; }
   const Layout& layout() const { return layout_; }
 
@@ -177,7 +160,7 @@ class TpccDriver {
   MixConfig config_;
   std::vector<Rng> site_rngs_;
   Procedures procs_;
-  std::vector<MixStats> site_stats_;  // shard-confined, merged by stats()
+  MixStats stats_;
   bool started_ = false;
 };
 

@@ -34,14 +34,7 @@ ProcId register_rmw_cross_procedure(ProcedureRegistry& registry) {
 }
 
 WorkloadDriver::WorkloadDriver(Cluster& cluster, WorkloadConfig config, std::uint64_t seed)
-    : cluster_(cluster),
-      config_(config),
-      updates_submitted_(cluster.site_count(), 0),
-      cross_class_submitted_(cluster.site_count(), 0),
-      queries_submitted_(cluster.site_count(), 0),
-      retries_(cluster.site_count(), 0),
-      gave_up_(cluster.site_count(), 0),
-      expired_presubmit_(cluster.site_count(), 0) {
+    : cluster_(cluster), config_(config) {
   Rng master(seed);
   site_rngs_.reserve(cluster.site_count());
   for (std::size_t s = 0; s < cluster.site_count(); ++s) site_rngs_.push_back(master.split());
@@ -64,9 +57,7 @@ SimTime WorkloadDriver::next_gap(Rng& rng) const {
 }
 
 void WorkloadDriver::schedule_next(SiteId site, SimTime horizon) {
-  // On the site's own shard: the submission event mutates only site-local
-  // state (replica, rng, counters), so shards stay independent.
-  Simulator& sim = cluster_.site_sim(site);
+  Simulator& sim = cluster_.sim();
   const SimTime at = sim.now() + next_gap(site_rngs_[site]);
   if (at > horizon) return;  // submission window closed for this site
   sim.schedule_at(at, [this, site, horizon] {
@@ -96,7 +87,7 @@ void WorkloadDriver::submit_one(SiteId site) {
                              ? static_cast<SimTime>(rng.exponential(
                                    static_cast<double>(config_.mean_query_exec_time)))
                              : config_.mean_query_exec_time;
-    ++queries_submitted_[site];
+    ++queries_submitted_;
     cluster_.replica(site).submit_query(
         [objects = std::move(objects)](QueryContext& ctx) {
           std::int64_t sum = 0;
@@ -127,14 +118,14 @@ void WorkloadDriver::submit_one(SiteId site) {
       config_.exponential_exec
           ? static_cast<SimTime>(rng.exponential(static_cast<double>(config_.mean_exec_time)))
           : config_.mean_exec_time;
-  ++updates_submitted_[site];
+  ++updates_submitted_;
   PendingUpdate pending;
   pending.proc = rmw_proc_;
   pending.klass = klass;
   pending.args = std::move(args);
   pending.exec_duration = exec;
   if (config_.deadline_budget != 0) {
-    pending.deadline = cluster_.site_sim(site).now() + config_.deadline_budget;
+    pending.deadline = cluster_.sim().now() + config_.deadline_budget;
   }
   attempt_submit(site, std::move(pending));
 }
@@ -153,14 +144,14 @@ void WorkloadDriver::attempt_submit(SiteId site, PendingUpdate pending) {
     case SubmitResult::expired:
       // Deadline budget ran out while the client was backing off (or the
       // site's queue never cleared in time). Nothing more to do.
-      ++expired_presubmit_[site];
+      ++expired_presubmit_;
       return;
     case SubmitResult::shed:
     case SubmitResult::backpressure:
       break;  // retryable refusals
   }
   if (pending.attempts >= config_.max_retries) {
-    ++gave_up_[site];
+    ++gave_up_;
     return;
   }
   // Deterministic exponential backoff. The jitter draw happens ONLY here, on
@@ -173,10 +164,10 @@ void WorkloadDriver::attempt_submit(SiteId site, PendingUpdate pending) {
         0, static_cast<std::int64_t>(config_.backoff_jitter)));
   }
   ++pending.attempts;
-  ++retries_[site];
+  ++retries_;
   // Boxed: the event capture must stay within InlineAction::kCapacity, and a
   // PendingUpdate (two vectors + scalars) does not.
-  cluster_.site_sim(site).schedule_after(
+  cluster_.sim().schedule_after(
       delay, [this, site, boxed = std::make_unique<PendingUpdate>(std::move(pending))]() {
         attempt_submit(site, std::move(*boxed));
       });
@@ -208,8 +199,8 @@ void WorkloadDriver::submit_cross_class(SiteId site, Rng& rng) {
       config_.exponential_exec
           ? static_cast<SimTime>(rng.exponential(static_cast<double>(config_.mean_exec_time)))
           : config_.mean_exec_time;
-  ++updates_submitted_[site];
-  ++cross_class_submitted_[site];
+  ++updates_submitted_;
+  ++cross_class_submitted_;
   PendingUpdate pending;
   pending.cross = true;
   pending.proc = rmw_cross_proc_;
@@ -217,7 +208,7 @@ void WorkloadDriver::submit_cross_class(SiteId site, Rng& rng) {
   pending.args = std::move(args);
   pending.exec_duration = exec;
   if (config_.deadline_budget != 0) {
-    pending.deadline = cluster_.site_sim(site).now() + config_.deadline_budget;
+    pending.deadline = cluster_.sim().now() + config_.deadline_budget;
   }
   attempt_submit(site, std::move(pending));
 }

@@ -88,21 +88,19 @@ class WorkloadDriver {
   WorkloadDriver(Cluster& cluster, WorkloadConfig config, std::uint64_t seed);
 
   /// Registers the rmw procedure, loads initial object values (0) lazily via
-  /// store defaults, and schedules the per-site submission streams. Each
-  /// site's stream runs on its own shard (Cluster::site_sim), so generation
-  /// parallelizes with the sharded engine; all per-site state (rng, counters)
-  /// is shard-confined.
+  /// store defaults, and schedules the per-site submission streams, each
+  /// drawing from its own rng.
   void start();
 
-  std::uint64_t updates_submitted() const { return sum(updates_submitted_); }
-  std::uint64_t cross_class_submitted() const { return sum(cross_class_submitted_); }
-  std::uint64_t queries_submitted() const { return sum(queries_submitted_); }
+  std::uint64_t updates_submitted() const { return updates_submitted_; }
+  std::uint64_t cross_class_submitted() const { return cross_class_submitted_; }
+  std::uint64_t queries_submitted() const { return queries_submitted_; }
   /// Re-submissions after a shed/backpressure refusal.
-  std::uint64_t retries() const { return sum(retries_); }
+  std::uint64_t retries() const { return retries_; }
   /// Updates abandoned after exhausting max_retries.
-  std::uint64_t gave_up() const { return sum(gave_up_); }
+  std::uint64_t gave_up() const { return gave_up_; }
   /// Updates whose deadline passed before an attempt was admitted.
-  std::uint64_t expired_presubmit() const { return sum(expired_presubmit_); }
+  std::uint64_t expired_presubmit() const { return expired_presubmit_; }
   ProcId rmw_proc() const { return rmw_proc_; }
   ProcId rmw_cross_proc() const { return rmw_cross_proc_; }
 
@@ -126,23 +124,18 @@ class WorkloadDriver {
   void submit_cross_class(SiteId site, Rng& rng);
   void attempt_submit(SiteId site, PendingUpdate pending);
   SimTime next_gap(Rng& rng) const;
-  static std::uint64_t sum(const std::vector<std::uint64_t>& per_site) {
-    std::uint64_t n = 0;
-    for (std::uint64_t v : per_site) n += v;
-    return n;
-  }
 
   Cluster& cluster_;
   WorkloadConfig config_;
   std::vector<Rng> site_rngs_;
   ProcId rmw_proc_ = 0;
   ProcId rmw_cross_proc_ = 0;
-  std::vector<std::uint64_t> updates_submitted_;      // per site
-  std::vector<std::uint64_t> cross_class_submitted_;  // per site
-  std::vector<std::uint64_t> queries_submitted_;      // per site
-  std::vector<std::uint64_t> retries_;                // per site
-  std::vector<std::uint64_t> gave_up_;                // per site
-  std::vector<std::uint64_t> expired_presubmit_;      // per site
+  std::uint64_t updates_submitted_ = 0;
+  std::uint64_t cross_class_submitted_ = 0;
+  std::uint64_t queries_submitted_ = 0;
+  std::uint64_t retries_ = 0;
+  std::uint64_t gave_up_ = 0;
+  std::uint64_t expired_presubmit_ = 0;
   bool started_ = false;
 };
 

@@ -7,7 +7,7 @@
 //
 //   1. determinism: one (plan, seed) configuration produces bit-for-bit
 //      identical commit histories, final states, and chaos counters across
-//      sharded runs with 1, 2, 4, and 8 worker threads;
+//      repeat runs;
 //   2. survival: the InvariantMonitor battery (watermark monotonicity, 1CSR,
 //      cross-site convergence) reports zero violations in every scenario,
 //      including a durable kill-and-restart-from-disk leg with the I/O fault
@@ -101,13 +101,13 @@ struct RunResult {
   std::uint64_t io_injected = 0;
 };
 
-void expect_equal(const RunResult& base, const RunResult& other, unsigned threads) {
-  EXPECT_EQ(base.history, other.history) << "commit histories diverge at threads=" << threads;
-  EXPECT_EQ(base.stores, other.stores) << "final states diverge at threads=" << threads;
-  EXPECT_EQ(base.delivered, other.delivered) << "deliveries diverge at threads=" << threads;
-  EXPECT_EQ(base.committed, other.committed) << "commit counts diverge at threads=" << threads;
+void expect_equal(const RunResult& base, const RunResult& other) {
+  EXPECT_EQ(base.history, other.history) << "commit histories diverge between repeat runs";
+  EXPECT_EQ(base.stores, other.stores) << "final states diverge between repeat runs";
+  EXPECT_EQ(base.delivered, other.delivered) << "deliveries diverge between repeat runs";
+  EXPECT_EQ(base.committed, other.committed) << "commit counts diverge between repeat runs";
   // Chaos accounting is part of the determinism contract: the same faults
-  // fire at the same points regardless of the worker-thread count.
+  // fire at the same points in every run.
   EXPECT_EQ(base.chaos.duplicates_injected, other.chaos.duplicates_injected);
   EXPECT_EQ(base.chaos.duplicates_suppressed, other.chaos.duplicates_suppressed);
   EXPECT_EQ(base.chaos.reorders_injected, other.chaos.reorders_injected);
@@ -117,16 +117,14 @@ void expect_equal(const RunResult& base, const RunResult& other, unsigned thread
   EXPECT_EQ(base.chaos.flap_transitions, other.chaos.flap_transitions);
   EXPECT_EQ(base.fd.suspicions, other.fd.suspicions);
   EXPECT_EQ(base.fd.restores, other.fd.restores);
-  EXPECT_EQ(base.io_injected, other.io_injected) << "I/O faults diverge at threads=" << threads;
+  EXPECT_EQ(base.io_injected, other.io_injected) << "I/O faults diverge between repeat runs";
 }
 
-RunResult run_scenario(const Scenario& scenario, unsigned threads) {
+RunResult run_scenario(const Scenario& scenario) {
   ClusterConfig config;
   config.n_sites = 5;
   config.n_classes = 8;
   config.seed = 77;
-  config.parallel.threads = threads;
-  config.parallel.force_sharded = true;
   config.chaos.plan = scenario.plan;
   if (scenario.durable || scenario.storage_faults) {
     config.storage.backend = StorageBackendKind::durable;
@@ -184,18 +182,13 @@ RunResult run_scenario(const Scenario& scenario, unsigned threads) {
   return out;
 }
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
-
-/// Runs the scenario at every thread count, checks bit-for-bit parity, and
-/// returns the base run so callers can assert injection counters.
+/// Runs the scenario twice, checks bit-for-bit equality of the two runs, and
+/// returns the first so callers can assert injection counters.
 RunResult sweep(const Scenario& scenario) {
-  const RunResult base = run_scenario(scenario, 1);
+  const RunResult base = run_scenario(scenario);
   EXPECT_GT(base.committed, 0u);
   EXPECT_EQ(base.invariant_violations, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_scenario(scenario, threads), threads);
-  }
+  expect_equal(base, run_scenario(scenario));
   return base;
 }
 
@@ -208,7 +201,7 @@ TEST(ChaosPlane, DuplicationSurvivesAndIsDeterministic) {
   EXPECT_GT(base.chaos.duplicates_injected, 0u);
   // Transport dedup must absorb the injected copies. A handful of copies are
   // legitimately still in flight at the simulation horizon (heartbeats never
-  // stop), so allow that tail - it is deterministic, the parity sweep above
+  // stop), so allow that tail - it is deterministic, the repeat run above
   // already pinned it bit-for-bit.
   EXPECT_LE(base.chaos.duplicates_suppressed, base.chaos.duplicates_injected);
   EXPECT_GE(base.chaos.duplicates_suppressed + 32, base.chaos.duplicates_injected);
@@ -254,7 +247,7 @@ TEST(ChaosPlane, GrayLinkSurvivesAndIsDeterministic) {
 
 TEST(ChaosPlane, CombinedPlanSurvivesAndIsDeterministic) {
   // All per-message clauses plus a flapping edge at once - the hostile-network
-  // soup. Every counter must still be thread-count invariant.
+  // soup. Every counter must still repeat exactly.
   Scenario s;
   s.plan.add(FaultPlan::duplicate(0.15, 0, 2 * kMillisecond))
       .add(FaultPlan::reorder(0.1, kMillisecond, 6 * kMillisecond))
@@ -289,8 +282,8 @@ TEST(ChaosPlane, InjectedIoFaultsSurviveAndAreDeterministic) {
 TEST(ChaosPlane, KillRestartFromDiskUnderChaosWithIoFaults) {
   // The acceptance leg: network chaos + live I/O injector + a cold restart
   // from disk, and the whole battery (watermark monotonicity across the
-  // restart, 1CSR over the deduped histories, convergence) stays green at
-  // every thread count.
+  // restart, 1CSR over the deduped histories, convergence) stays green, and
+  // the run repeats exactly.
   Scenario s;
   s.storage_faults = true;
   s.kill_restart = true;
@@ -307,10 +300,10 @@ TEST(ChaosPlane, KillRestartFromDiskUnderChaosWithIoFaults) {
 TEST(ChaosPlane, EmptyPlanLeavesRunsBitIdentical) {
   // An empty ChaosConfig must not perturb anything: same digests as a config
   // that never mentions chaos (the rng split only happens when armed).
-  const RunResult base = run_scenario(Scenario{}, 2);
+  const RunResult base = run_scenario(Scenario{});
   Scenario explicit_empty;
   explicit_empty.plan = FaultPlan{};
-  expect_equal(base, run_scenario(explicit_empty, 2), 2);
+  expect_equal(base, run_scenario(explicit_empty));
   EXPECT_EQ(base.chaos.duplicates_injected, 0u);
   EXPECT_EQ(base.chaos.deliveries_parked, 0u);
 }

@@ -343,10 +343,10 @@ TEST(Topology, SwitchedMulticastReachesAllSites) {
   for (SiteId s = 0; s < 6; ++s) EXPECT_EQ(received[s], s == 5 ? 2 : 1) << "site " << s;
 }
 
-/// The conservative lookahead contract the channel-clock engine relies on:
-/// for EVERY delivery - under uniform noise, hiccup tails, and link queueing -
-/// (delivery time - send time) >= lookahead(from, to), strictly.
-TEST(Topology, PerEdgeLookaheadIsADeliveryLowerBoundUnderJitter) {
+/// The delivery-delay floor of every edge: for EVERY delivery - under uniform
+/// noise, hiccup tails, loss retransmissions and link queueing -
+/// (delivery time - send time) >= serialization_time + edge(from, to).base_delay.
+TEST(Topology, EdgeDelayFloorBoundsEveryDeliveryUnderJitter) {
   for (TopologyProfile profile : {TopologyProfile::metro, TopologyProfile::wan,
                                   TopologyProfile::geo_3dc}) {
     Simulator sim;
@@ -359,7 +359,9 @@ TEST(Topology, PerEdgeLookaheadIsADeliveryLowerBoundUnderJitter) {
     for (SiteId to = 0; to < 5; ++to) {
       net.subscribe(to, 0, [&, to](const Message& msg) {
         const SimTime sent = send_time[msg.id.sender * 40 + msg.id.seq];
-        EXPECT_GE(sim.now() - sent, net.lookahead(msg.id.sender, to))
+        const SimTime floor =
+            cfg.serialization_time + net.topology().edge(msg.id.sender, to).base_delay;
+        EXPECT_GE(sim.now() - sent, floor)
             << topology_profile_name(profile) << " edge (" << msg.id.sender << "," << to
             << ")";
         ++checked;

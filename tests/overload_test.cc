@@ -2,8 +2,7 @@
 // gate's refusal order, sender backpressure, deadline budgets at their three
 // enforcement points (presubmit, opt-delivery skip, queue-head drop by the
 // per-class virtual service clock), the clients' deterministic retry loop,
-// and the bit-for-bit parity of every overload counter across sharded thread
-// counts.
+// and the bit-for-bit repeatability of every overload counter.
 //
 // The deadline design under test: queue-head drops are decided by a virtual
 // service clock that is a pure function of the definitive order and request
@@ -252,7 +251,7 @@ struct OverloadRunResult {
   bool operator==(const OverloadRunResult&) const = default;
 };
 
-OverloadRunResult run_overloaded_workload(unsigned threads, bool force_sharded) {
+OverloadRunResult run_overloaded_workload() {
   ClusterConfig config;
   config.n_sites = 4;
   config.n_classes = 4;
@@ -261,8 +260,6 @@ OverloadRunResult run_overloaded_workload(unsigned threads, bool force_sharded) 
   config.admission.shed_depth = 48;
   config.admission.resume_depth = 16;
   config.opt.max_inflight_per_sender = 128;
-  config.parallel.threads = threads;
-  config.parallel.force_sharded = force_sharded;
 
   Cluster cluster(config);
   WorkloadConfig wl;
@@ -298,22 +295,13 @@ OverloadRunResult run_overloaded_workload(unsigned threads, bool force_sharded) 
 }
 
 TEST(OverloadRetry, BackoffIsDeterministicAcrossIdenticalRuns) {
-  const OverloadRunResult a = run_overloaded_workload(1, /*force_sharded=*/false);
-  const OverloadRunResult b = run_overloaded_workload(1, /*force_sharded=*/false);
+  const OverloadRunResult a = run_overloaded_workload();
+  const OverloadRunResult b = run_overloaded_workload();
   EXPECT_GT(a.committed, 0u);
   // The overload actually engaged: retries happened, some work was refused.
   EXPECT_GT(a.counters.back() + a.counters[a.counters.size() - 3], 0u)
       << "workload never tripped the admission gate - thresholds too loose";
   EXPECT_EQ(a, b) << "seeded backoff/jitter must make retry schedules replayable";
-}
-
-TEST(OverloadRetry, CountersBitIdenticalAcrossShardedThreadCounts) {
-  const OverloadRunResult base = run_overloaded_workload(1, /*force_sharded=*/true);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(base, run_overloaded_workload(threads, true))
-        << "overload counters diverge at threads=" << threads;
-  }
 }
 
 }  // namespace

@@ -341,6 +341,39 @@ void cold_restart_site_1(Cluster& cluster) {
 
 void warm_recover_site_1(Cluster& cluster) { cluster.recover_site(1); }
 
+TEST(Recovery, QueryParkedAtCrashIsDroppedAndTheClusterQuiesces) {
+  // A query parked on a commit wait dies with the crash. It never completes,
+  // so it must be accounted as dropped, or in_flight() never drains.
+  Cluster cluster(recovery_config(31, 3));
+  const ProcId rmw = register_rmw_procedure(cluster.procedures(), cluster.catalog());
+  const ObjectId obj = cluster.catalog().object(0, 0);
+  TxnArgs args;
+  args.ints = {1, 0};
+  cluster.replica(0).submit_update(rmw, 0, args, 200 * kMillisecond);
+  std::uint64_t completed = 0;
+  cluster.sim().schedule_at(50 * kMillisecond, [&] {
+    cluster.replica(1).submit_query([obj](QueryContext& ctx) { (void)ctx.read(obj); },
+                                    kMillisecond, [&completed](const QueryReport&) {
+                                      ++completed;
+                                    });
+  });
+  cluster.sim().schedule_at(100 * kMillisecond, [&] {
+    // The update is TO-delivered but commits only at ~200 ms: the query,
+    // which read its object at 51 ms, is parked on that commit.
+    EXPECT_EQ(cluster.replica(1).in_flight(), 2u);
+    cluster.crash_site(1);
+  });
+  cluster.sim().schedule_at(150 * kMillisecond, [&] { cluster.recover_site(1); });
+  cluster.run_for(200 * kMillisecond);
+  EXPECT_TRUE(cluster.quiesce(60 * kSecond));
+  const ReplicaMetrics& m = cluster.replica(1).metrics();
+  EXPECT_EQ(m.queries_started, 1u);
+  EXPECT_EQ(m.queries_done, 0u);
+  EXPECT_EQ(m.queries_dropped, 1u);
+  EXPECT_EQ(completed, 0u);
+  EXPECT_EQ(cluster.replica(1).in_flight(), 0u);
+}
+
 TEST(Recovery, QueryRightAfterWarmRecoveryReadsAServedSnapshot) {
   // No snapshot below the TO index the site had reached before the crash.
   Cluster cluster(recovery_config(31, 3));

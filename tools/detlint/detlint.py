@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """detlint - determinism lint for the OTP-DB tree.
 
-The engine's headline guarantee is bit-for-bit identical histories across
-1/2/4/8 worker threads. That contract is easy to break silently: iterate an
+The simulator's headline guarantee is repeat-run byte identity: one
+(configuration, seed) produces the same histories, digests and output on every
+run. That contract is easy to break silently: iterate an
 ``std::unordered_map`` in a path that feeds digests or network send order and
-every parity suite still passes on *this* binary (iteration order is a
+every determinism test still passes on *this* binary (iteration order is a
 deterministic function of the insertion sequence for a fixed standard library)
 while the invariant the tests are supposed to pin - "order does not depend on
 hash-table internals" - is gone. detlint enforces the contract statically.

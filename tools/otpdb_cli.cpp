@@ -15,8 +15,10 @@
 // Every run is deterministic for a given --seed.
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "abcast/opt_abcast.h"
 #include "baseline/conservative_replica.h"
@@ -43,14 +45,13 @@ int usage() {
                "              --cross-frac=F --cross-span=N (multi-class updates;\n"
                "              otp/conservative engines)\n"
                "              --abcast=opt|sequencer --seed=N --crash-site=S --crash-ms=T\n"
-               "              --threads=N (1 = classic loop, >=2 = sharded parallel driver)\n"
                "              --topology=PROFILE (network shape; see below)\n"
                "              --storage=memory|durable --data-dir=PATH\n"
                "              --chaos=PROFILE (fault schedule; see below)\n"
                "              --offered-load=TXN/S/SITE (alias for --rate; overrides it)\n"
                "              --admission=on|off --deadline-ms=MS (overload plane; see below)\n"
                "  tpcc:       --warehouses=N --sites=N --rate=TXN/S/SITE --seconds=S\n"
-               "              --skew=THETA --remote-frac=F --seed=N --threads=N\n"
+               "              --skew=THETA --remote-frac=F --seed=N\n"
                "              --topology=PROFILE --storage=memory|durable --data-dir=PATH\n"
                "              --chaos=PROFILE --offered-load=TXN/S/SITE\n"
                "              --admission=on|off --deadline-ms=MS\n"
@@ -92,10 +93,26 @@ int usage() {
                "topology profiles (--topology):\n"
                "  %s\n"
                "  flat/lan ride the shared-bus medium; metro/wan/geo-3dc are\n"
-               "  switched (per-site-pair delay matrix, per-edge jitter streams,\n"
-               "  channel-clock parallel driver with --threads >= 2)\n",
+               "  switched (per-site-pair delay matrix, per-edge jitter streams)\n",
                chaos_profile_list(), topology_profile_list());
   return 2;
+}
+
+/// True when every flag given is one the subcommand reads (`known`) and no
+/// stray positional follows the subcommand; otherwise names the culprit, so
+/// a typo or a retired flag fails loudly instead of being ignored.
+bool flags_known(const Flags& flags, std::initializer_list<std::string_view> known) {
+  for (const std::string& key : flags.keys()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "unknown flag --%s for this subcommand\n", key.c_str());
+      return false;
+    }
+  }
+  if (!flags.positional().empty()) {
+    std::fprintf(stderr, "unexpected argument '%s'\n", flags.positional().front().c_str());
+    return false;
+  }
+  return true;
 }
 
 /// Parses --topology into `config`, exiting with usage() on an unknown name.
@@ -322,24 +339,37 @@ void print_cluster_summary(Cluster& cluster, double seconds, bool lazy_engine) {
 }
 
 int cmd_run(const Flags& flags) {
+  if (!flags_known(flags, {"abcast", "admission", "chaos", "classes", "crash-ms", "crash-site",
+                           "cross-frac", "cross-span", "data-dir", "deadline-ms", "engine",
+                           "exec-ms", "hiccup", "objects", "offered-load", "query-frac", "rate",
+                           "seconds", "seed", "sites", "skew", "storage", "topology"})) {
+    return usage();
+  }
   const std::string engine = flags.get("engine", "otp");
+  ReplicaFactory factory = make_factory(engine);
+  if (!factory && engine != "otp") {
+    std::fprintf(stderr, "unknown --engine=%s (otp|conservative|lazy|locktable)\n",
+                 engine.c_str());
+    return usage();
+  }
+  const std::string abcast = flags.get("abcast", "opt");
+  if (abcast != "opt" && abcast != "sequencer") {
+    std::fprintf(stderr, "unknown --abcast=%s (opt|sequencer)\n", abcast.c_str());
+    return usage();
+  }
   ClusterConfig config;
   config.n_sites = static_cast<std::size_t>(flags.get_int("sites", 4));
   config.n_classes = static_cast<std::size_t>(flags.get_int("classes", 8));
   config.objects_per_class = static_cast<std::uint64_t>(flags.get_int("objects", 32));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   config.net.hiccup_prob = flags.get_double("hiccup", config.net.hiccup_prob);
-  config.abcast =
-      flags.get("abcast", "opt") == "sequencer" ? AbcastKind::sequencer : AbcastKind::optimistic;
-  // 1 = classic single-queue loop; >=2 = site-sharded engine on real cores.
-  config.parallel.threads = static_cast<unsigned>(flags.get_int("threads", 1));
+  config.abcast = abcast == "sequencer" ? AbcastKind::sequencer : AbcastKind::optimistic;
   const SimTime duration = static_cast<SimTime>(flags.get_double("seconds", 2.0) * 1e9);
   if (!apply_topology_flag(flags, config)) return usage();
   if (!apply_storage_flags(flags, config)) return usage();
   if (!apply_chaos_flag(flags, config, duration)) return usage();
   if (!apply_admission_flag(flags, config)) return usage();
 
-  ReplicaFactory factory = make_factory(engine);
   auto cluster = factory ? std::make_unique<Cluster>(config, std::move(factory))
                          : std::make_unique<Cluster>(config);
   HistoryRecorder recorder(*cluster);
@@ -400,13 +430,17 @@ int cmd_run(const Flags& flags) {
 }
 
 int cmd_tpcc(const Flags& flags) {
+  if (!flags_known(flags, {"admission", "chaos", "data-dir", "deadline-ms", "offered-load",
+                           "rate", "remote-frac", "seconds", "seed", "sites", "skew", "storage",
+                           "topology", "warehouses"})) {
+    return usage();
+  }
   ClusterConfig config;
   config.n_sites = static_cast<std::size_t>(flags.get_int("sites", 4));
   config.n_classes = static_cast<std::size_t>(flags.get_int("warehouses", 8));
   tpcc::Layout layout;
   config.objects_per_class = layout.objects_per_warehouse();
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.parallel.threads = static_cast<unsigned>(flags.get_int("threads", 1));
   const SimTime duration = static_cast<SimTime>(flags.get_double("seconds", 2.0) * 1e9);
   if (!apply_topology_flag(flags, config)) return usage();
   if (!apply_storage_flags(flags, config)) return usage();
@@ -447,6 +481,7 @@ int cmd_tpcc(const Flags& flags) {
 }
 
 int cmd_spontorder(const Flags& flags) {
+  if (!flags_known(flags, {"interval-ms", "messages", "seed", "sites"})) return usage();
   struct Blank final : Payload {};
   const std::size_t sites = static_cast<std::size_t>(flags.get_int("sites", 4));
   const int per_site = static_cast<int>(flags.get_int("messages", 400));

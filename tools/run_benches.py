@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 import time
@@ -48,13 +47,10 @@ KEEP_COUNTERS = (
     "cross_pct",
     "remote_pct",
     "serializable",
-    "threads",
     "sites",
     "allocs_per_event",
     "sim_events",
-    # Topology / channel-clock sweep (PR 6).
-    "rounds",
-    "rounds_vs_global",
+    # Topology sweep.
     "mismatch_pct",
     "fast_path_pct",
     "ordering_gap_ms",
@@ -97,12 +93,6 @@ KEEP_COUNTERS = (
     "deadline_presubmit",
     "p99_ms",
 )
-
-# Benchmark names encode the parallel-driver sweep as a "threads:N" segment
-# (google-benchmark ArgNames). N=1 is the classic single-queue loop and the
-# speedup baseline; N=0 is the sharded engine with one worker (windowing
-# overhead only); N>=2 are real worker counts.
-THREADS_SEGMENT = re.compile(r"/threads:(\d+)")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -161,60 +151,6 @@ def run_bench(build_dir: Path, name: str, repetitions: int) -> dict:
     }
 
 
-def parallel_speedups(benches: dict) -> dict:
-    """Serial-vs-parallel table: for every benchmark family swept over a
-    threads:N axis, wall-clock speedup of each N against the classic-loop
-    baseline (threads:1). Values < 1 mean the parallel driver was slower
-    (expected when the host has fewer free cores than workers)."""
-    table = {}
-    for bench_name, bench in benches.items():
-        families = {}
-        for b in bench.get("benchmarks", []):
-            match = THREADS_SEGMENT.search(b["name"])
-            if not match:
-                continue
-            family = THREADS_SEGMENT.sub("", b["name"])
-            families.setdefault(family, {})[int(match.group(1))] = to_ms(
-                b["real_time"], b["time_unit"])
-        for family, rows in families.items():
-            base = rows.get(1)
-            if base is None or base <= 0:
-                continue
-            table[f"{bench_name}:{family}"] = {
-                "serial_ms": round(base, 3),
-                "speedup_by_threads": {
-                    str(n): round(base / ms, 3)
-                    for n, ms in sorted(rows.items()) if n != 1 and ms > 0
-                },
-            }
-    return table
-
-
-def max_swept_threads(benches: dict) -> int:
-    """Largest threads:N any benchmark row in this run swept."""
-    top = 0
-    for bench in benches.values():
-        for b in bench.get("benchmarks", []):
-            match = THREADS_SEGMENT.search(b["name"])
-            if match:
-                top = max(top, int(match.group(1)))
-    return top
-
-
-def print_speedup_table(table: dict, degraded: bool):
-    if not table:
-        return
-    print("  serial-vs-parallel (wall-clock, threads:1 classic loop = 1.0;"
-          " threads:0 = sharded single worker):")
-    if degraded:
-        print("    !! DEGRADED: this host has fewer cpus than the largest"
-              " swept worker count - parallel rows measure oversubscription,"
-              " not scaling; compare them only against runs of this same host")
-    for family, row in table.items():
-        cells = ", ".join(f"x{n}={s}" for n, s in row["speedup_by_threads"].items())
-        print(f"    {family}: serial {row['serial_ms']}ms; {cells}")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build-bench")
@@ -236,27 +172,20 @@ def main() -> int:
         # (memory vs durable WAL) with group-commit/fsync counters; v5:
         # chaos axis (chaos_robustness bench) with injected-fault counters;
         # v6: overload axis (overload bench) with admission/backpressure/
-        # deadline/retry counters and the goodput plateau ratio.
-        "schema": "otpdb-bench-v6",
+        # deadline/retry counters and the goodput plateau ratio; v7: the
+        # threads axis, parallel_speedup table and degraded_parallel stamp
+        # are gone with the site-sharded engine.
+        "schema": "otpdb-bench-v7",
         "host": {
             "platform": platform.platform(),
             "machine": platform.machine(),
             "python": platform.python_version(),
-            # Parallel-driver rows are meaningless without knowing how many
-            # cores the recording host could actually run workers on.
             "cpus": os.cpu_count(),
         },
         "benches": {},
     }
     for name in args.bench or DEFAULT_BENCHES:
         result["benches"][name] = run_bench(build_dir, name, args.repetitions)
-    result["parallel_speedup"] = parallel_speedups(result["benches"])
-    # Parallel rows recorded on a host with fewer cpus than the largest swept
-    # worker count measure oversubscription, not scaling. Stamp the run so a
-    # later comparison on a wider machine doesn't read them as regressions.
-    cpus = result["host"]["cpus"]
-    result["degraded_parallel"] = bool(
-        cpus is not None and cpus < max_swept_threads(result["benches"]))
 
     if args.compare:
         old = json.loads(Path(args.compare).read_text())
@@ -267,7 +196,7 @@ def main() -> int:
             if not old_bench or "fixed_work_ms" not in old_bench or new.get("skipped"):
                 continue
             # Compare over the intersection of benchmark rows only: a binary
-            # that grew new benchmarks (e.g. a threads sweep) must not read
+            # that grew new benchmarks (e.g. a new sweep) must not read
             # as a regression of its pre-existing rows. Aggregate rows
             # ("..._mean" under --repetitions) match their plain-named
             # counterparts.
@@ -294,7 +223,6 @@ def main() -> int:
         print(f"  {name}: wall {bench['wall_clock_s']}s, fixed-work {bench['fixed_work_ms']}ms")
     if "speedup_fixed_work" in result:
         print("  speedups vs", args.compare, result["speedup_fixed_work"])
-    print_speedup_table(result["parallel_speedup"], result["degraded_parallel"])
     return 0
 
 
