@@ -8,8 +8,10 @@
 // or added event - fails here even when it is itself deterministic. A golden
 // that changes on purpose is re-pinned once, with the reason in CHANGES.md.
 //
-// Coverage: both class-queue engines, mixed workloads (queries, cross-class
-// updates, TPC-C-lite with remote transactions), loss/partition/crash chaos,
+// Coverage: the three TO-ordered engines (OTP, conservative, lock-table),
+// mixed workloads (queries, cross-class updates, TPC-C-lite with remote
+// transactions), loss/partition/crash chaos, deadline budgets with admission
+// shedding and client retries,
 // the durable WAL backend with a kill-and-restart-from-disk, and every
 // network topology profile. The CLI section pins byte-identical output
 // across repeat invocations and rejection of flags a subcommand does not
@@ -27,6 +29,7 @@
 #include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
+#include "core/lock_table_replica.h"
 #include "db/durable_store.h"
 #include "net/topology.h"
 #include "workload/tpcc_lite.h"
@@ -208,6 +211,10 @@ constexpr Golden kTopologyWan{0xdc957b9ea17ef527ull, 0xd5427ce0118e8cd8ull,
                               1549, 2647, 0x6747fbbcc7c19b4cull, 715};
 constexpr Golden kTopologyGeo3dc{0x715942734093f93bull, 0xd5427ce0118e8cd8ull,
                                  1551, 2646, 0xc7b9cd438e7915c5ull, 715};
+constexpr Golden kLockTableMixed{0xa7d198706257c647ull, 0xdbb9884c4905bdaeull,
+                                 9086, 13790, 0xfb343434ba62dd97ull, 1980};
+constexpr Golden kConservativeOverloadCrash{0x77de912e2f732e82ull, 0x3cf6e3e26ceac683ull,
+                                            7382, 14181, 0xe957978e63876843ull, 2196};
 
 // -- scenarios ---------------------------------------------------------------
 
@@ -335,6 +342,96 @@ RunResult run_tpcc() {
   return out;
 }
 
+/// The lock-table engine on rmw updates plus snapshot queries, with message
+/// loss and one partition/heal cycle. Its access-set extractor is keyed to a
+/// single class, so the mix has no cross-class updates; it has no crash
+/// recovery path, so no crash either.
+RunResult run_lock_table_mixed() {
+  ClusterConfig config;
+  config.n_sites = 5;
+  config.n_classes = 4;
+  config.objects_per_class = 32;
+  config.seed = 77;
+  config.net.loss_prob = 0.01;
+  auto cluster = std::make_unique<Cluster>(config, [](const ReplicaDeps& d) {
+    return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
+                                              d.site, rmw_access_extractor(d.catalog));
+  });
+  HistoryRecorder recorder(*cluster);
+
+  WorkloadConfig wl;
+  wl.updates_per_second_per_site = 100;
+  wl.mean_exec_time = 2 * kMillisecond;
+  wl.ops_per_txn = 3;
+  wl.query_fraction = 0.15;
+  wl.duration = 900 * kMillisecond;
+  WorkloadDriver driver(*cluster, wl, 4242);
+  driver.start();
+  cluster->sim().schedule_at(250 * kMillisecond, [&cluster] {
+    cluster->net().partition({0, 1}, {2, 3, 4});
+  });
+  cluster->sim().schedule_at(450 * kMillisecond, [&cluster] { cluster->net().heal_partition(); });
+  cluster->run_for(wl.duration + 200 * kMillisecond);
+  EXPECT_TRUE(cluster->quiesce(60 * kSecond));
+
+  RunResult out;
+  collect_common(*cluster, recorder, out);
+  out.serializable = check_object_level_serializability(recorder.site_logs()).ok();
+  out.converged = converged(*cluster);
+  return out;
+}
+
+/// The conservative engine past capacity: admission shedding, deadline
+/// budgets (presubmit expiry and queue-head drops by the virtual service
+/// clock), client retries with backoff, cross-class updates and queries, and
+/// a warm crash/recovery whose replay rebuilds the service clock.
+RunResult run_conservative_overload_crash() {
+  ClusterConfig config;
+  config.n_sites = 4;
+  config.n_classes = 4;
+  config.seed = 99;
+  config.admission.enabled = true;
+  config.admission.shed_depth = 160;
+  config.admission.resume_depth = 64;
+  config.opt.max_inflight_per_sender = 128;
+  auto cluster = std::make_unique<Cluster>(config, [](const ReplicaDeps& d) {
+    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
+                                                 d.registry, d.site);
+  });
+  HistoryRecorder recorder(*cluster);
+
+  WorkloadConfig wl;
+  wl.updates_per_second_per_site = 500;
+  wl.mean_exec_time = 4 * kMillisecond;
+  wl.query_fraction = 0.1;
+  wl.cross_class_fraction = 0.2;
+  wl.duration = 600 * kMillisecond;
+  wl.deadline_budget = 120 * kMillisecond;
+  wl.max_retries = 4;
+  WorkloadDriver driver(*cluster, wl, 4242);
+  driver.start();
+  cluster->sim().schedule_at(250 * kMillisecond, [&cluster] { cluster->crash_site(3); });
+  cluster->sim().schedule_at(400 * kMillisecond, [&cluster] { cluster->recover_site(3); });
+  cluster->run_for(wl.duration + 200 * kMillisecond);
+  EXPECT_TRUE(cluster->quiesce(120 * kSecond));
+
+  RunResult out;
+  collect_common(*cluster, recorder, out);
+  for (SiteId s = 0; s < cluster->site_count(); ++s) {
+    const ReplicaMetrics& m = cluster->replica(s).metrics();
+    for (std::uint64_t v : {m.admitted_updates, m.shed_updates, m.backpressured_updates,
+                            m.deadline_expired_presubmit, m.deadline_expired_queue}) {
+      out.counters.push_back(v);
+    }
+  }
+  for (std::uint64_t v : {driver.retries(), driver.gave_up(), driver.expired_presubmit()}) {
+    out.counters.push_back(v);
+  }
+  out.serializable = check_one_copy_serializability(recorder.site_logs()).ok();
+  out.converged = converged(*cluster);
+  return out;
+}
+
 /// Runs `scenario` twice, checks the two runs agree bit for bit and match the
 /// golden, and returns the first run for scenario-specific assertions.
 template <typename Scenario>
@@ -376,6 +473,26 @@ TEST(Determinism, DurableRestartFromDiskChaos) {
 }
 
 TEST(Determinism, TpccRemoteMix) { run_twice([] { return run_tpcc(); }, kTpccRemote); }
+
+TEST(Determinism, LockTableMixedWorkloadWithChaos) {
+  run_twice([] { return run_lock_table_mixed(); }, kLockTableMixed);
+}
+
+TEST(Determinism, ConservativeOverloadWithCrashRecovery) {
+  const RunResult run = run_twice([] { return run_conservative_overload_crash(); },
+                                  kConservativeOverloadCrash);
+  // The overload engaged: refusals, retries and queue-head drops all happened.
+  const std::size_t sites = run.history.size();
+  std::uint64_t shed = 0, queue_drops = 0;
+  for (std::size_t s = 0; s < sites; ++s) {
+    const std::size_t base = run.counters.size() - 3 - 5 * (sites - s);
+    shed += run.counters[base + 1];
+    queue_drops += run.counters[base + 4];
+  }
+  EXPECT_GT(shed, 0u);
+  EXPECT_GT(queue_drops, 0u);
+  EXPECT_GT(run.counters[run.counters.size() - 3], 0u) << "no client retries";
+}
 
 // -- topology sweeps ---------------------------------------------------------
 //
