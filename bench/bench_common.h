@@ -8,25 +8,10 @@
 
 #include <memory>
 
-#include "baseline/conservative_replica.h"
-#include "baseline/lazy_replica.h"
 #include "core/cluster.h"
 #include "workload/workload.h"
 
 namespace otpdb::bench {
-
-inline ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
-inline ReplicaFactory lazy_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry, d.site);
-  };
-}
 
 /// LAN regime used across benches: the calibrated Figure-1 defaults.
 inline NetConfig lan() { return NetConfig{}; }

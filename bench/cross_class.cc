@@ -37,7 +37,7 @@ void BM_CrossClassRmw(benchmark::State& state) {
     config.seed = 77;
     config.net = lan();
     auto cluster = engine == Engine::conservative
-                       ? std::make_unique<Cluster>(config, conservative_factory())
+                       ? std::make_unique<Cluster>(config, engine_factory("conservative"))
                        : std::make_unique<Cluster>(config);
     HistoryRecorder recorder(*cluster);
     WorkloadConfig wl;
@@ -84,7 +84,7 @@ void BM_TpccRemote(benchmark::State& state) {
     config.seed = 1999;
     config.net = lan();
     auto cluster = engine == Engine::conservative
-                       ? std::make_unique<Cluster>(config, conservative_factory())
+                       ? std::make_unique<Cluster>(config, engine_factory("conservative"))
                        : std::make_unique<Cluster>(config);
     HistoryRecorder recorder(*cluster);
     tpcc::MixConfig mix;

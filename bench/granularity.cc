@@ -12,17 +12,9 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "core/lock_table_replica.h"
 
 namespace otpdb::bench {
 namespace {
-
-ReplicaFactory lock_table_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
-                                              d.site, rmw_access_extractor(d.catalog));
-  };
-}
 
 void BM_Granularity(benchmark::State& state) {
   const bool fine_grained = state.range(0) == 1;
@@ -37,7 +29,7 @@ void BM_Granularity(benchmark::State& state) {
     config.objects_per_class = kTotalObjects / n_classes;
     config.seed = 616;
     config.net = lan();
-    auto cluster = fine_grained ? std::make_unique<Cluster>(config, lock_table_factory())
+    auto cluster = fine_grained ? std::make_unique<Cluster>(config, engine_factory("locktable"))
                                 : std::make_unique<Cluster>(config);
     WorkloadConfig wl;
     wl.updates_per_second_per_site = 100;

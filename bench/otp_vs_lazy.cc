@@ -29,7 +29,7 @@ void BM_OtpVsLazy(benchmark::State& state) {
     config.objects_per_class = 16;
     config.seed = 555;
     config.net = lan();
-    auto cluster = use_lazy ? std::make_unique<Cluster>(config, lazy_factory())
+    auto cluster = use_lazy ? std::make_unique<Cluster>(config, engine_factory("lazy"))
                             : std::make_unique<Cluster>(config);
     WorkloadConfig wl;
     wl.updates_per_second_per_site = 100;

@@ -41,8 +41,9 @@ void BM_OverlapLatency(benchmark::State& state) {
     config.net = lan();
     auto cluster = [&] {
       switch (engine) {
-        case Engine::conservative: return std::make_unique<Cluster>(config, conservative_factory());
-        case Engine::lazy: return std::make_unique<Cluster>(config, lazy_factory());
+        case Engine::conservative:
+          return std::make_unique<Cluster>(config, engine_factory("conservative"));
+        case Engine::lazy: return std::make_unique<Cluster>(config, engine_factory("lazy"));
         case Engine::otp: default: return std::make_unique<Cluster>(config);
       }
     }();

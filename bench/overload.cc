@@ -76,7 +76,7 @@ OverloadResult run_overload(bool conservative, double load_multiplier,
     config.chaos = profile.net;
   }
 
-  auto cluster = conservative ? std::make_unique<Cluster>(config, conservative_factory())
+  auto cluster = conservative ? std::make_unique<Cluster>(config, engine_factory("conservative"))
                               : std::make_unique<Cluster>(config);
 
   WorkloadConfig wl;

@@ -41,7 +41,7 @@ void BM_Scalability(benchmark::State& state) {
     config.abcast =
         variant == Variant::otp_sequencer ? AbcastKind::sequencer : AbcastKind::optimistic;
     auto cluster = variant == Variant::conservative
-                       ? std::make_unique<Cluster>(config, conservative_factory())
+                       ? std::make_unique<Cluster>(config, engine_factory("conservative"))
                        : std::make_unique<Cluster>(config);
     WorkloadConfig wl;
     wl.updates_per_second_per_site = 40;  // constant per-site offered load

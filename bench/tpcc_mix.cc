@@ -33,7 +33,7 @@ void BM_TpccMix(benchmark::State& state) {
     config.seed = 1999;
     config.net = lan();
     auto cluster = engine == Engine::conservative
-                       ? std::make_unique<Cluster>(config, conservative_factory())
+                       ? std::make_unique<Cluster>(config, engine_factory("conservative"))
                        : std::make_unique<Cluster>(config);
     tpcc::MixConfig mix;
     mix.txn_per_second_per_site = 120;

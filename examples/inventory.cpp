@@ -137,10 +137,7 @@ int main() {
   std::printf("otpdb inventory example: %zu warehouses, %d pick orders, 4 sites\n\n",
               kWarehouses, kOrders);
   report("[OTP - optimistic transaction processing over atomic broadcast]", run(nullptr));
-  report("[lazy replication - local commit, propagate afterwards]", run([](const ReplicaDeps& d) {
-           return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry,
-                                                d.site);
-         }));
+  report("[lazy replication - local commit, propagate afterwards]", run(engine_factory("lazy")));
   std::printf("OTP pays its latency with total-order coordination overlapped behind\n"
               "execution; lazy replication is slightly faster locally but loses updates\n"
               "under contention - the drift line shows stock that was picked twice or\n"

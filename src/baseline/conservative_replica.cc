@@ -1,8 +1,5 @@
 #include "baseline/conservative_replica.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "util/assert.h"
 
 namespace otpdb {
@@ -10,144 +7,24 @@ namespace otpdb {
 ConservativeReplica::ConservativeReplica(Simulator& sim, AtomicBroadcast& abcast,
                                          StorageBackend& storage, const PartitionCatalog& catalog,
                                          const ProcedureRegistry& registry, SiteId self)
-    : sim_(sim),
-      abcast_(abcast),
-      backend_(storage),
-      store_(storage.memory()),
-      catalog_(catalog),
-      registry_(registry),
-      self_(self),
-      queries_(sim, store_, catalog, metrics_) {
-  queues_.reserve(catalog.class_count());
-  for (std::size_t c = 0; c < catalog.class_count(); ++c) {
-    queues_.emplace_back(static_cast<ClassId>(c));
-  }
-  service_clock_.assign(catalog.class_count(), 0);
-  abcast_.set_callbacks(AbcastCallbacks{
-      [this](const Message& msg) { on_opt_deliver(msg); },
-      [this](const MsgId& id, TOIndex index) { on_to_deliver(id, index); },
-      [this](std::span<const ToDelivery> batch) { on_to_deliver_batch(batch); },
-  });
-}
+    : ClassQueueReplica(sim, abcast, storage, catalog, registry, self) {}
 
-void ConservativeReplica::broadcast_request(ProcId proc, ClassId klass,
-                                            std::vector<ClassId> classes, TxnArgs args,
-                                            SimTime exec_duration, SimTime deadline) {
-  auto request = std::make_shared<TxnRequest>();
-  request->proc = proc;
-  request->klass = klass;
-  request->classes = std::move(classes);
-  request->args = std::move(args);
-  request->origin = self_;
-  request->client_seq = next_client_seq_++;
-  request->submitted_at = sim_.now();
-  request->exec_duration = exec_duration;
-  request->deadline = deadline;
-  ++metrics_.submitted_updates;
-  abcast_.broadcast(std::move(request));
-}
-
-SubmitResult ConservativeReplica::submit_update(ProcId proc, ClassId klass, TxnArgs args,
-                                                SimTime exec_duration, SimTime deadline) {
-  OTPDB_CHECK(klass < catalog_.class_count());
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
-  broadcast_request(proc, klass, {}, std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
-}
-
-SubmitResult ConservativeReplica::submit_update_multi(ProcId proc, std::vector<ClassId> classes,
-                                                      TxnArgs args, SimTime exec_duration,
-                                                      SimTime deadline) {
-  normalize_class_set(classes);
-  OTPDB_CHECK(classes.back() < catalog_.class_count());
-  if (classes.size() == 1) {
-    return submit_update(proc, classes.front(), std::move(args), exec_duration, deadline);
-  }
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
-  const ClassId primary = classes.front();
-  broadcast_request(proc, primary, std::move(classes), std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
-}
-
-void ConservativeReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
-  queries_.submit(std::move(fn), exec_duration, std::move(done));
-}
-
-void ConservativeReplica::on_opt_deliver(const Message& msg) {
-  // The conservative engine ignores the tentative order: it only keeps the
-  // body so the TO-delivery confirmation can be matched to it.
-  OTPDB_ASSERT(std::dynamic_pointer_cast<const TxnRequest>(msg.payload) != nullptr);
-  auto request = std::static_pointer_cast<const TxnRequest>(msg.payload);
-  // acquire() checks against duplicate Opt-delivery.
-  TxnRecord* txn = txns_.acquire(msg.id, std::move(request));
-  txn->opt_delivered_at = sim_.now();
-  ++buffered_;
-}
-
-void ConservativeReplica::on_to_deliver(const MsgId& id, TOIndex index) {
-  // Durable catch-up tombstone: the body was never resent because this
-  // site's rebuilt store already holds the commit (index <= durable floor).
-  TxnRecord* txn = txns_.lookup_if_present(id);
-  if (txn == nullptr) {
-    OTPDB_CHECK_MSG(index <= replay_floor_, "TO-delivery without prior Opt-delivery");
-    queries_.advance_to_index(index);
-    return;
-  }
-  txn->to_index = index;
-  to_deliver_one(txn);
-}
-
-void ConservativeReplica::on_to_deliver_batch(std::span<const ToDelivery> batch) {
-  // Per-entry handling identical to repeated on_to_deliver calls.
-  for (const auto& [id, index] : batch) on_to_deliver(id, index);
-}
-
-void ConservativeReplica::to_deliver_one(TxnRecord* txn) {
-  txn->to_delivered_at = sim_.now();
+void ConservativeReplica::to_delivered(TxnRecord* txn) {
   txn->deliv = DeliveryState::committable;
-  const auto classes = txn->request->class_span();
-  queries_.advance_to_index(txn->to_index);
-  for (ClassId c : classes) queries_.note_to_delivered(c, txn->to_index);
-
-  // Deadline budget: same virtual-clock rule (and hence the same drop
-  // decisions) as the OTP engine. Before the replay early return so a warm
-  // restart's replay rebuilds the clock exactly.
-  apply_service_clock(txn);
-
-  // Crash-recovery replay: a TO-delivery at or below the covered classes'
-  // commit watermarks was committed before the crash - acknowledge without
-  // re-executing (its versions are already in the store). Nothing was
+  // Crash-recovery replay: acknowledged without re-executing. Nothing was
   // enqueued yet: the conservative engine enters queues only at TO-delivery,
   // and the replay runs in definitive order against empty queues.
-  if (txn->to_index <= queries_.last_committed(classes.front())) {
-#ifndef NDEBUG
-    for (ClassId c : classes) OTPDB_ASSERT(txn->to_index <= queries_.last_committed(c));
-#endif
-    --buffered_;
+  if (note_to_delivery(txn)) {
     txns_.retire(txn);
     return;
   }
-
-  metrics_.opt_to_gap_ns.add(static_cast<double>(txn->to_delivered_at - txn->opt_delivered_at));
-  --buffered_;
-  ++queued_;
-
   // Enter every covered queue in TO-delivery order (identical at all sites),
   // ascending by class; run once heading all of them. A dropped transaction
   // queues too (the conservative engine executes in definitive order, so
   // nothing optimistic exists to undo): its slot commits nothing, but the
   // watermarks may only pass it once every earlier transaction of its
   // classes has committed, i.e. when it heads all of its queues.
+  const auto classes = txn->request->class_span();
   for (ClassId c : classes) queues_[c].append(txn);
   if (txn->expired) {
     retire_expired_heads(classes);
@@ -156,101 +33,20 @@ void ConservativeReplica::to_deliver_one(TxnRecord* txn) {
   try_execute(txn);
 }
 
-void ConservativeReplica::apply_service_clock(TxnRecord* txn) {
-  const TxnRequest& request = *txn->request;
-  SimTime vstart = request.submitted_at;
-  for (ClassId c : request.class_span()) vstart = std::max(vstart, service_clock_[c]);
-  const SimTime vfinish = vstart + request.exec_duration;
-  if (request.deadline != 0 && vfinish > request.deadline) {
-    txn->expired = true;  // dropped: occupies no service time
-    return;
-  }
-  for (ClassId c : request.class_span()) service_clock_[c] = vfinish;
-}
-
-bool ConservativeReplica::heads_all_queues(const TxnRecord* txn) const {
-  for (ClassId c : txn->request->class_span()) {
-    if (queues_[c].head() != txn) return false;
-  }
-  return true;
-}
-
-void ConservativeReplica::try_execute(TxnRecord* txn) {
-  if (txn->expired || txn->running || txn->exec != ExecState::active) return;
-  if (!heads_all_queues(txn)) return;
-  submit_execution(txn);
-}
-
-void ConservativeReplica::submit_execution(TxnRecord* txn) {
-  OTPDB_CHECK(!txn->running);
-  OTPDB_CHECK(heads_all_queues(txn));
-  txn->running = true;
-  ++txn->attempts;
-  const bool record_sets = commit_hook_ != nullptr;  // checker wants read/write sets
-  const TxnRequest& request = *txn->request;
-  auto run_in = [&](TxnContext& ctx) {
-    registry_.get(request.proc)(ctx);
-    txn->last_reads = ctx.take_reads();
-    txn->last_writes = ctx.take_writes();
-  };
-  if (request.multi_class()) {
-    TxnContext ctx(store_, catalog_, request.class_span(), txn->tid, request.args, record_sets);
-    run_in(ctx);
-  } else {
-    TxnContext ctx(store_, catalog_, txn->tid, request.klass, request.args, record_sets);
-    run_in(ctx);
-  }
-  txn->completion =
-      sim_.schedule_after(request.exec_duration, [this, txn] { on_complete(txn); });
-}
-
-void ConservativeReplica::on_complete(TxnRecord* txn) {
+void ConservativeReplica::execution_done(TxnRecord* txn) {
   txn->running = false;
   txn->exec = ExecState::executed;
-  txn->executed_at = sim_.now();
-  txn->committed_at = sim_.now();
-
-  const auto classes = txn->request->class_span();
+  txn->executed_at = sim_.now();  // commit follows execution immediately
   OTPDB_CHECK(heads_all_queues(txn));
-
-  CommitRecord record;
-  if (commit_hook_) {
-    record.site = self_;
-    record.txn = txn->id;
-    record.proc = txn->request->proc;
-    record.klass = txn->request->klass;
-    if (txn->request->multi_class()) {
-      record.classes.assign(classes.begin(), classes.end());
-    }
-    record.index = txn->to_index;
-    record.at = txn->committed_at;
-    const auto writes = store_.provisional_writes(txn->tid);
-    record.writes.assign(writes.begin(), writes.end());
-    record.reads = txn->last_reads;
-  }
-
-  backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
+  const auto classes = txn->request->class_span();
+  const CommitRecord record = apply_commit(txn);
   for (ClassId c : classes) queues_[c].remove_head(txn);
-  --queued_;
-
-  ++metrics_.committed;
-  if (txn->request->origin == self_) {
-    const double latency = static_cast<double>(txn->committed_at - txn->request->submitted_at);
-    metrics_.commit_latency_ns.add(latency);
-    metrics_.commit_latency_percentiles_ns.add(latency);
-  }
-  metrics_.commit_wait_ns.add(0.0);  // commit follows execution immediately
-  if (commit_hook_) commit_hook_(record);
-
-  const TOIndex committed_index = txn->to_index;
+  count_commit(txn, record);
   // Removing txn may promote the next head of every covered queue.
   for (ClassId c : classes) {
     if (TxnRecord* next = queues_[c].head()) try_execute(next);
   }
-  // Advance every covered watermark before waking waiters (multi-domain
-  // commit protocol of the QueryEngine).
-  for (ClassId c : classes) queries_.note_committed(c, committed_index, /*wake=*/false);
-  queries_.wake_waiters(committed_index);
+  advance_watermarks(classes, txn->to_index);
   // Drops the removal exposed retire only now, behind txn's watermarks.
   retire_expired_heads(classes);
   txns_.retire(txn);  // the record slot is recycled by the next acquire
@@ -267,42 +63,16 @@ void ConservativeReplica::retire_expired_heads(std::span<const ClassId> classes)
     // wake): a query waiting on this index would otherwise block forever,
     // and the recovery replay relies on the watermark covering dropped slots.
     const auto covered = head->request->class_span();
-    const TOIndex index = head->to_index;
     for (ClassId d : covered) queues_[d].remove_head(head);
-    --queued_;
     ++metrics_.deadline_expired_queue;
     for (ClassId d : covered) {
       if (TxnRecord* next = queues_[d].head()) try_execute(next);
     }
-    for (ClassId d : covered) queries_.note_committed(d, index, /*wake=*/false);
-    queries_.wake_waiters(index);
+    advance_watermarks(covered, head->to_index);
     // A newly exposed head may itself be a drop.
     retire_stack_.insert(retire_stack_.end(), covered.begin(), covered.end());
     txns_.retire(head);
   }
-}
-
-void ConservativeReplica::crash_recover_reset() {
-  txns_.for_each_live([this](TxnRecord* txn) {
-    if (txn->running) sim_.cancel(txn->completion);
-  });
-  txns_.clear();
-  for (std::size_t c = 0; c < queues_.size(); ++c) {
-    queues_[c] = ClassQueue(static_cast<ClassId>(c));
-  }
-  buffered_ = 0;
-  queued_ = 0;
-  backend_.clear_provisional();
-  queries_.reset_volatile();
-  service_clock_.assign(service_clock_.size(), 0);  // rebuilt by the replay
-  admission_.reset();
-}
-
-void ConservativeReplica::restart_from_disk(std::span<const TOIndex> class_watermarks,
-                                            TOIndex durable_floor) {
-  crash_recover_reset();  // volatile state is equally gone on a cold restart
-  queries_.restore_watermarks(class_watermarks);
-  replay_floor_ = durable_floor;
 }
 
 }  // namespace otpdb

@@ -1,109 +1,46 @@
 // ConservativeReplica - the non-optimistic baseline ([1,12,16,17] in the
 // paper): transactions execute only after TO-delivery, in definitive order.
 //
-// Identical substrate to OtpReplica (same broadcast, store, class queues,
-// snapshot queries) minus the optimism: Opt-deliveries only buffer the
-// request body; execution starts at TO-delivery. Since execution order always
-// equals the definitive order, there are never aborts or reorderings - but
-// the full ordering latency of the broadcast sits on the critical path of
-// every transaction. This is the direct ablation for the paper's overlap
-// claim (bench/overlap_latency).
+// Identical substrate to OtpReplica (the shared ClassQueueReplica core: same
+// broadcast, store, class queues, deadline service clock, snapshot queries)
+// minus the optimism: Opt-deliveries only buffer the request body; execution
+// starts at TO-delivery. Since execution order always equals the definitive
+// order, there are never aborts or reorderings - but the full ordering
+// latency of the broadcast sits on the critical path of every transaction.
+// This is the direct ablation for the paper's overlap claim
+// (bench/overlap_latency).
+//
+// What remains here is the ordering rule: a transaction enters its class
+// queues at TO-delivery, and a commit starts its successors before it
+// advances the commit watermarks and wakes queries.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "abcast/abcast.h"
-#include "core/class_queue.h"
-#include "core/query_engine.h"
-#include "core/replica_base.h"
-#include "core/txn.h"
-#include "core/txn_table.h"
-#include "db/partition.h"
-#include "db/procedures.h"
-#include "db/storage_backend.h"
-#include "db/versioned_store.h"
-#include "sim/simulator.h"
+#include "core/ordered_replica.h"
 
 namespace otpdb {
 
-class ConservativeReplica final : public ReplicaBase {
+class ConservativeReplica final : public ClassQueueReplica {
  public:
   ConservativeReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
                       const PartitionCatalog& catalog, const ProcedureRegistry& registry,
                       SiteId self);
 
-  SubmitResult submit_update(ProcId proc, ClassId klass, TxnArgs args, SimTime exec_duration,
-                             SimTime deadline = 0) override;
-  /// Cross-partition update: enters every covered class queue at TO-delivery
-  /// (definitive order everywhere), executes only while heading all of them,
-  /// commits across all of them atomically.
-  SubmitResult submit_update_multi(ProcId proc, std::vector<ClassId> classes, TxnArgs args,
-                                   SimTime exec_duration, SimTime deadline = 0) override;
-  void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) override;
-  void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
-  std::size_t in_flight() const override {
-    return buffered_ + queued_ + metrics_.queries_in_flight();
-  }
-  const ReplicaMetrics& metrics() const override { return metrics_; }
-  SiteId site() const override { return self_; }
-
-  TOIndex last_to_index() const { return queries_.last_to_index(); }
-
-  /// Crash recovery: drops all volatile state (buffered bodies, queues,
-  /// scheduled completions, provisional writes). Committed versions and the
-  /// per-class commit watermarks survive; replayed TO-deliveries at or below
-  /// a class watermark are acknowledged without re-execution.
-  void crash_recover_reset() override;
-
-  /// Cold restart over the durable tier (see ReplicaBase).
-  void restart_from_disk(std::span<const TOIndex> class_watermarks,
-                         TOIndex durable_floor) override;
-
  private:
-  /// Builds and TO-broadcasts a request. `classes` is empty for single-class
-  /// submissions, the normalized set (and klass its first element) otherwise.
-  void broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
-                         TxnArgs args, SimTime exec_duration, SimTime deadline);
-  /// Deadline budget at TO-delivery (same per-class virtual service clock and
-  /// hence the same drop decisions as OtpReplica::apply_service_clock).
-  void apply_service_clock(TxnRecord* txn);
-
-  void on_opt_deliver(const Message& msg);
-  void on_to_deliver(const MsgId& id, TOIndex index);
-  void on_to_deliver_batch(std::span<const ToDelivery> batch);
-  void to_deliver_one(TxnRecord* txn);
-  bool heads_all_queues(const TxnRecord* txn) const;
+  /// The tentative order is ignored: the record only buffers the body until
+  /// the TO-delivery confirmation matches it.
+  void opt_delivered(TxnRecord*) override {}
+  void to_delivered(TxnRecord* txn) override;
+  /// Execution completes in definitive order, so it commits at once.
+  void execution_done(TxnRecord* txn) override;
   /// Retires every deadline-dropped transaction that heads all of its queues,
   /// starting from the heads of `classes` and following the heads each
   /// retire exposes.
   void retire_expired_heads(std::span<const ClassId> classes);
-  void try_execute(TxnRecord* txn);
-  void submit_execution(TxnRecord* txn);
-  void on_complete(TxnRecord* txn);
 
-  Simulator& sim_;
-  AtomicBroadcast& abcast_;
-  StorageBackend& backend_;
-  VersionedStore& store_;  // backend_.memory(): reads + provisional writes
-  const PartitionCatalog& catalog_;
-  const ProcedureRegistry& registry_;
-  SiteId self_;
-  TOIndex replay_floor_ = 0;  ///< tombstone ceiling during cold-restart catch-up
-
-  std::vector<ClassQueue> queues_;
-  TxnTable txns_;
-  /// Per-class virtual service clock for deadline budgets (see OtpReplica).
-  std::vector<SimTime> service_clock_;
-  std::size_t buffered_ = 0;  ///< Opt-delivered, not yet TO-delivered
-  std::size_t queued_ = 0;    ///< TO-delivered, not yet committed or dropped
   std::vector<ClassId> retire_stack_;  ///< retire_expired_heads worklist
-
-  std::uint64_t next_client_seq_ = 0;
-  ReplicaMetrics metrics_;
-  QueryEngine queries_;
-  CommitHook commit_hook_;
 };
 
 }  // namespace otpdb

@@ -5,15 +5,43 @@
 #include <atomic>
 #include <utility>
 
+#include "baseline/conservative_replica.h"
+#include "baseline/lazy_replica.h"
+#include "core/lock_table_replica.h"
 #include "util/assert.h"
 
 namespace otpdb {
 
-Cluster::Cluster(ClusterConfig config)
-    : Cluster(std::move(config), [](const ReplicaDeps& deps) {
-        return std::make_unique<OtpReplica>(deps.sim, deps.abcast, deps.storage, deps.catalog,
-                                            deps.registry, deps.site);
-      }) {}
+ReplicaFactory engine_factory(std::string_view engine) {
+  if (engine == "otp") {
+    return [](const ReplicaDeps& d) {
+      return std::make_unique<OtpReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
+                                          d.site);
+    };
+  }
+  if (engine == "conservative") {
+    return [](const ReplicaDeps& d) {
+      return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
+                                                   d.registry, d.site);
+    };
+  }
+  if (engine == "lazy") {
+    return [](const ReplicaDeps& d) {
+      return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry,
+                                           d.site);
+    };
+  }
+  if (engine == "locktable") {
+    return [](const ReplicaDeps& d) {
+      return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog,
+                                                d.registry, d.site,
+                                                rmw_access_extractor(d.catalog));
+    };
+  }
+  return nullptr;
+}
+
+Cluster::Cluster(ClusterConfig config) : Cluster(std::move(config), engine_factory("otp")) {}
 
 Cluster::Cluster(ClusterConfig config, ReplicaFactory factory)
     : config_(config),

@@ -3,7 +3,7 @@
 // stores, and one replica engine per site. This is the top-level object that
 // examples, tests and benches instantiate.
 //
-// The replica engine is pluggable (OTP, conservative, lazy - see
+// The replica engine is pluggable (OTP, lock-table, conservative, lazy - see
 // src/baseline) through a factory, so every experiment runs the competing
 // engines over an identical substrate.
 #pragma once
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "abcast/failure_detector.h"
@@ -43,8 +44,6 @@ struct ClusterConfig {
   FailureDetectorConfig fd;
   bool enable_failure_detector = true;
 
-  OtpReplicaConfig otp;
-
   /// Overload plane: per-site admission control (core/admission.h), installed
   /// on every replica by build(). Disabled by default - zero behavior change
   /// for configurations that never touch it.
@@ -73,6 +72,12 @@ struct ReplicaDeps {
 };
 
 using ReplicaFactory = std::function<std::unique_ptr<ReplicaBase>(const ReplicaDeps&)>;
+
+/// The factory of the engine named `engine` - "otp", "conservative", "lazy"
+/// or "locktable" (with the rmw workload's access-set extractor) - or nullptr
+/// for an unknown name. Engines with a custom config or extractor are built
+/// with a hand-written factory instead.
+ReplicaFactory engine_factory(std::string_view engine);
 
 class Cluster {
  public:

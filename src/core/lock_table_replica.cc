@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/assert.h"
-#include "util/log.h"
 
 namespace otpdb {
 
@@ -26,23 +25,11 @@ LockTableReplica::LockTableReplica(Simulator& sim, AtomicBroadcast& abcast,
                                    StorageBackend& storage, const PartitionCatalog& catalog,
                                    const ProcedureRegistry& registry, SiteId self,
                                    AccessSetExtractor extractor)
-    : sim_(sim),
-      abcast_(abcast),
-      backend_(storage),
-      store_(storage.memory()),
-      catalog_(catalog),
-      registry_(registry),
-      self_(self),
+    : OrderedReplica(sim, abcast, storage, catalog, registry, self, catalog.object_count(),
+                     [](ObjectId obj) { return QueryEngine::Domain{obj}; }),
       extractor_(std::move(extractor)),
-      queues_(catalog.object_count()),
-      queries_(sim, store_, catalog.object_count(),
-               [](ObjectId obj) { return QueryEngine::Domain{obj}; }, metrics_) {
+      queues_(catalog.object_count()) {
   OTPDB_CHECK(extractor_ != nullptr);
-  abcast_.set_callbacks(AbcastCallbacks{
-      [this](const Message& msg) { on_opt_deliver(msg); },
-      [this](const MsgId& id, TOIndex index) { on_to_deliver(id, index); },
-      [this](std::span<const ToDelivery> batch) { on_to_deliver_batch(batch); },
-  });
 }
 
 SubmitResult LockTableReplica::submit_update(ProcId proc, ClassId klass, TxnArgs args,
@@ -68,51 +55,37 @@ SubmitResult LockTableReplica::submit_update_with_access(ProcId proc, ClassId kl
                                                          TxnArgs args, SimTime exec_duration,
                                                          SimTime deadline) {
   OTPDB_CHECK_MSG(!access_set.empty(), "a transaction must declare at least one object");
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
+  const SubmitResult result = gate(deadline);
+  if (result != SubmitResult::admitted) return result;
   auto request = std::make_shared<TxnRequest>();
   request->proc = proc;
   request->klass = klass;
   request->args = std::move(args);
-  request->origin = self_;
-  request->client_seq = next_client_seq_++;
-  request->submitted_at = sim_.now();
   request->exec_duration = exec_duration;
   // `deadline` is deliberately NOT carried into the request: enforcing it at
   // the object queues would need per-object virtual service clocks to stay
   // deterministic across sites. The ingress gate above is the full extent of
   // deadline handling on this engine.
   request->access_set = std::move(access_set);
-  ++metrics_.submitted_updates;
-  abcast_.broadcast(std::move(request));
+  broadcast(std::move(request));
   return SubmitResult::admitted;
-}
-
-void LockTableReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
-  queries_.submit(std::move(fn), exec_duration, std::move(done));
 }
 
 std::size_t LockTableReplica::queue_length(ObjectId obj) const {
   return obj < queues_.size() ? queues_[obj].size() : 0;
 }
 
+void LockTableReplica::reset_queues() {
+  OTPDB_CHECK_MSG(false, "this engine has no crash recovery path");
+}
+
 // ---------------------------------------------------------------------------
 // Serialization (Opt-deliver): enter all object queues atomically.
 // ---------------------------------------------------------------------------
 
-void LockTableReplica::on_opt_deliver(const Message& msg) {
-  OTPDB_ASSERT(std::dynamic_pointer_cast<const TxnRequest>(msg.payload) != nullptr);
-  auto request = std::static_pointer_cast<const TxnRequest>(msg.payload);
-  OTPDB_CHECK_MSG(!request->access_set.empty(),
+void LockTableReplica::opt_delivered(TxnRecord* txn) {
+  OTPDB_CHECK_MSG(!txn->request->access_set.empty(),
                   "lock-table engine requires pre-declared access sets");
-  // acquire() checks against duplicate Opt-delivery.
-  TxnRecord* txn = txns_.acquire(msg.id, std::move(request));
-  txn->opt_delivered_at = sim_.now();
-
   for (ObjectId obj : txn->request->access_set) {
     // The lock table is a dense vector over the catalog's object space; a
     // user-supplied extractor declaring an out-of-catalog id must fail loudly
@@ -135,24 +108,14 @@ bool LockTableReplica::heads_all_queues(const TxnRecord* txn) const {
 void LockTableReplica::try_execute(TxnRecord* txn) {
   if (txn->running || txn->exec != ExecState::active) return;
   if (!heads_all_queues(txn)) return;
-  txn->running = true;
-  ++txn->attempts;
-  if (txn->attempts > 1) ++metrics_.reexecutions;
-  const bool record_sets = commit_hook_ != nullptr;  // checker wants read/write sets
-  TxnContext ctx(store_, txn->request->access_set, txn->tid, txn->request->klass,
-                 txn->request->args, record_sets);
-  registry_.get(txn->request->proc)(ctx);
-  txn->last_reads = ctx.take_reads();
-  txn->last_writes = ctx.take_writes();
-  txn->completion =
-      sim_.schedule_after(txn->request->exec_duration, [this, txn] { execution_complete(txn); });
+  execute(txn);
 }
 
 // ---------------------------------------------------------------------------
 // Execution completion (Figure 5 generalized).
 // ---------------------------------------------------------------------------
 
-void LockTableReplica::execution_complete(TxnRecord* txn) {
+void LockTableReplica::execution_done(TxnRecord* txn) {
   txn->running = false;
   txn->executed_at = sim_.now();
   txn->exec = ExecState::executed;
@@ -173,23 +136,9 @@ void LockTableReplica::reorder_before_first_pending(ObjectQueue& queue, TxnRecor
   queue.insert(first_pending, txn);
 }
 
-void LockTableReplica::on_to_deliver(const MsgId& id, TOIndex index) {
-  TxnRecord* txn = txns_.lookup(id);
-  txn->to_index = index;
-  to_deliver_one(txn);
-}
-
-void LockTableReplica::on_to_deliver_batch(std::span<const ToDelivery> batch) {
-  // Per-entry handling identical to repeated on_to_deliver calls.
-  for (const auto& [id, index] : batch) on_to_deliver(id, index);
-}
-
-void LockTableReplica::to_deliver_one(TxnRecord* txn) {
-  const TOIndex index = txn->to_index;
-  txn->to_delivered_at = sim_.now();
-  queries_.advance_to_index(index);
+void LockTableReplica::to_delivered(TxnRecord* txn) {
   for (ObjectId obj : txn->request->access_set) {
-    queries_.note_to_delivered(QueryEngine::Domain{obj}, index);
+    queries_.note_to_delivered(QueryEngine::Domain{obj}, txn->to_index);
   }
   metrics_.opt_to_gap_ns.add(static_cast<double>(txn->to_delivered_at - txn->opt_delivered_at));
 
@@ -223,43 +172,13 @@ void LockTableReplica::to_deliver_one(TxnRecord* txn) {
   try_execute(txn);
 }
 
-void LockTableReplica::abort_transaction(TxnRecord* txn) {
-  OTPDB_CHECK(txn->deliv == DeliveryState::pending);
-  if (txn->running) {
-    sim_.cancel(txn->completion);
-    txn->running = false;
-  }
-  backend_.abort(txn->tid);
-  txn->exec = ExecState::active;
-  ++metrics_.aborts;
-}
-
 // ---------------------------------------------------------------------------
 // Commit.
 // ---------------------------------------------------------------------------
 
 void LockTableReplica::commit(TxnRecord* txn) {
-  OTPDB_CHECK(txn->exec == ExecState::executed);
-  OTPDB_CHECK(txn->deliv == DeliveryState::committable);
-  OTPDB_CHECK(txn->to_index > 0);
   OTPDB_CHECK(heads_all_queues(txn));
-
-  txn->committed_at = sim_.now();
-  CommitRecord record;
-  if (commit_hook_) {
-    record.site = self_;
-    record.txn = txn->id;
-    record.proc = txn->request->proc;
-    record.klass = txn->request->klass;
-    record.index = txn->to_index;
-    record.at = txn->committed_at;
-    const auto writes = store_.provisional_writes(txn->tid);
-    record.writes.assign(writes.begin(), writes.end());
-    record.reads = txn->last_reads;
-  }
-
-  backend_.commit(txn->tid, txn->to_index,
-                  std::span<const ClassId>(&txn->request->klass, 1), queries_.gc_horizon());
+  const CommitRecord record = apply_commit(txn);
   const std::vector<ObjectId> objects = txn->request->access_set;
   for (ObjectId obj : objects) {
     ObjectQueue& queue = queues_[obj];
@@ -270,15 +189,7 @@ void LockTableReplica::commit(TxnRecord* txn) {
     queries_.note_committed(QueryEngine::Domain{obj}, txn->to_index, /*wake=*/false);
   }
   queries_.wake_waiters(txn->to_index);
-
-  ++metrics_.committed;
-  if (txn->request->origin == self_) {
-    const double latency = static_cast<double>(txn->committed_at - txn->request->submitted_at);
-    metrics_.commit_latency_ns.add(latency);
-    metrics_.commit_latency_percentiles_ns.add(latency);
-  }
-  metrics_.commit_wait_ns.add(static_cast<double>(txn->committed_at - txn->executed_at));
-  if (commit_hook_) commit_hook_(record);
+  count_commit(txn, record);
   txns_.retire(txn);  // the record slot is recycled by the next acquire
 
   try_execute_heads_of(objects);

@@ -26,24 +26,16 @@
 // transactions (shared object) therefore commit in definitive order at every
 // site, giving 1-copy-serializability at object granularity - transactions
 // of one class with disjoint access sets now run concurrently.
+//
+// Submission, delivery plumbing, procedure runs and the commit record live in
+// OrderedReplica (core/ordered_replica.h); snapshot queries run over one
+// domain per object. The engine has no crash recovery path.
 #pragma once
 
-#include <memory>
-#include <span>
+#include <functional>
 #include <vector>
 
-#include "abcast/abcast.h"
-#include "core/metrics.h"
-#include "core/query.h"
-#include "core/query_engine.h"
-#include "core/replica_base.h"
-#include "core/txn.h"
-#include "core/txn_table.h"
-#include "db/partition.h"
-#include "db/procedures.h"
-#include "db/storage_backend.h"
-#include "db/versioned_store.h"
-#include "sim/simulator.h"
+#include "core/ordered_replica.h"
 
 namespace otpdb {
 
@@ -55,7 +47,7 @@ using AccessSetExtractor = std::function<std::vector<ObjectId>(ClassId, const Tx
 /// convention (ints = [delta, offset...] within the class partition).
 AccessSetExtractor rmw_access_extractor(const PartitionCatalog& catalog);
 
-class LockTableReplica final : public ReplicaBase {
+class LockTableReplica final : public OrderedReplica {
  public:
   LockTableReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
                    const PartitionCatalog& catalog, const ProcedureRegistry& registry,
@@ -74,13 +66,6 @@ class LockTableReplica final : public ReplicaBase {
   /// via submit_update_with_access instead).
   SubmitResult submit_update_multi(ProcId proc, std::vector<ClassId> classes, TxnArgs args,
                                    SimTime exec_duration, SimTime deadline = 0) override;
-  void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) override;
-  void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
-  std::size_t in_flight() const override {
-    return txns_.live() + metrics_.queries_in_flight();
-  }
-  const ReplicaMetrics& metrics() const override { return metrics_; }
-  SiteId site() const override { return self_; }
 
   /// Submits with an explicit access set (bypasses the extractor).
   SubmitResult submit_update_with_access(ProcId proc, ClassId klass,
@@ -89,13 +74,6 @@ class LockTableReplica final : public ReplicaBase {
 
   /// Introspection for tests.
   std::size_t queue_length(ObjectId obj) const;
-  TOIndex last_to_index() const { return queries_.last_to_index(); }
-
-  // Direct event entry points (tests drive these; production wiring goes
-  // through the abcast callbacks).
-  void on_opt_deliver(const Message& msg);
-  void on_to_deliver(const MsgId& id, TOIndex index);
-  void on_to_deliver_batch(std::span<const ToDelivery> batch);
 
  private:
   /// One object's FIFO wait list. TxnRecord pointers, same invariants as the
@@ -103,33 +81,22 @@ class LockTableReplica final : public ReplicaBase {
   /// tentative order.
   using ObjectQueue = std::vector<TxnRecord*>;
 
-  void to_deliver_one(TxnRecord* txn);
+  void opt_delivered(TxnRecord* txn) override;
+  void to_delivered(TxnRecord* txn) override;
+  void execution_done(TxnRecord* txn) override;
+  /// No recovery path: CHECK-fails.
+  void reset_queues() override;
+
   bool heads_all_queues(const TxnRecord* txn) const;
   void try_execute(TxnRecord* txn);
-  void execution_complete(TxnRecord* txn);
-  void abort_transaction(TxnRecord* txn);
   void commit(TxnRecord* txn);
   void reorder_before_first_pending(ObjectQueue& queue, TxnRecord* txn);
   void try_execute_heads_of(const std::vector<ObjectId>& objects);
 
-  Simulator& sim_;
-  AtomicBroadcast& abcast_;
-  StorageBackend& backend_;
-  VersionedStore& store_;  // backend_.memory(): reads + provisional writes
-  const PartitionCatalog& catalog_;
-  const ProcedureRegistry& registry_;
-  SiteId self_;
   AccessSetExtractor extractor_;
-
   // The catalog's object space is contiguous, so the lock table is a plain
   // vector indexed by ObjectId - no hashing per lock acquire/release.
   std::vector<ObjectQueue> queues_;
-  TxnTable txns_;
-
-  std::uint64_t next_client_seq_ = 0;
-  ReplicaMetrics metrics_;
-  QueryEngine queries_;
-  CommitHook commit_hook_;
 };
 
 }  // namespace otpdb

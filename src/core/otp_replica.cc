@@ -1,6 +1,5 @@
 #include "core/otp_replica.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/assert.h"
@@ -11,94 +10,13 @@ namespace otpdb {
 OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
                        const PartitionCatalog& catalog, const ProcedureRegistry& registry,
                        SiteId self, OtpReplicaConfig config)
-    : sim_(sim),
-      abcast_(abcast),
-      backend_(storage),
-      store_(storage.memory()),
-      catalog_(catalog),
-      registry_(registry),
-      self_(self),
-      config_(config),
-      queries_(sim, store_, catalog, metrics_) {
-  queues_.reserve(catalog.class_count());
-  for (std::size_t c = 0; c < catalog.class_count(); ++c) {
-    queues_.emplace_back(static_cast<ClassId>(c));
-  }
-  service_clock_.assign(catalog.class_count(), 0);
-  abcast_.set_callbacks(AbcastCallbacks{
-      [this](const Message& msg) { on_opt_deliver(msg); },
-      [this](const MsgId& id, TOIndex index) { on_to_deliver(id, index); },
-      [this](std::span<const ToDelivery> batch) { on_to_deliver_batch(batch); },
-  });
-}
-
-void OtpReplica::broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
-                                   TxnArgs args, SimTime exec_duration, SimTime deadline) {
-  auto request = std::make_shared<TxnRequest>();
-  request->proc = proc;
-  request->klass = klass;
-  request->classes = std::move(classes);
-  request->args = std::move(args);
-  request->origin = self_;
-  request->client_seq = next_client_seq_++;
-  request->submitted_at = sim_.now();
-  request->exec_duration = exec_duration;
-  request->deadline = deadline;
-  ++metrics_.submitted_updates;
-  abcast_.broadcast(std::move(request));
-}
-
-SubmitResult OtpReplica::submit_update(ProcId proc, ClassId klass, TxnArgs args,
-                                       SimTime exec_duration, SimTime deadline) {
-  OTPDB_CHECK(klass < catalog_.class_count());
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
-  broadcast_request(proc, klass, {}, std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
-}
-
-SubmitResult OtpReplica::submit_update_multi(ProcId proc, std::vector<ClassId> classes,
-                                             TxnArgs args, SimTime exec_duration,
-                                             SimTime deadline) {
-  normalize_class_set(classes);
-  OTPDB_CHECK(classes.back() < catalog_.class_count());
-  if (classes.size() == 1) {  // the base model's case: no class vector needed
-    return submit_update(proc, classes.front(), std::move(args), exec_duration, deadline);
-  }
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
-  const ClassId primary = classes.front();
-  broadcast_request(proc, primary, std::move(classes), std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
-}
-
-void OtpReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
-  queries_.submit(std::move(fn), exec_duration, std::move(done));
-}
+    : ClassQueueReplica(sim, abcast, storage, catalog, registry, self), config_(config) {}
 
 // ---------------------------------------------------------------------------
 // Figure 4: serialization module (upon Opt-delivery of transaction T_i)
 // ---------------------------------------------------------------------------
 
-void OtpReplica::on_opt_deliver(const Message& msg) {
-  OTPDB_ASSERT(std::dynamic_pointer_cast<const TxnRequest>(msg.payload) != nullptr);
-  auto request = std::static_pointer_cast<const TxnRequest>(msg.payload);
-  // acquire() checks against duplicate Opt-delivery.
-  TxnRecord* txn = txns_.acquire(msg.id, std::move(request));
-  txn->opt_delivered_at = sim_.now();
-  arm_ticket_watchdog(txn);
-  serialization_module(txn);
-}
-
-void OtpReplica::serialization_module(TxnRecord* txn) {
+void OtpReplica::opt_delivered(TxnRecord* txn) {
   txn->deliv = DeliveryState::pending;  // S2: mark pending and active
   txn->exec = ExecState::active;
   // S1: append to every covered queue, in ascending class order (identical at
@@ -121,15 +39,14 @@ void OtpReplica::serialization_module(TxnRecord* txn) {
 // Figure 5: execution module (upon complete execution of transaction T_i)
 // ---------------------------------------------------------------------------
 
-void OtpReplica::execution_module(TxnRecord* txn) {
+void OtpReplica::execution_done(TxnRecord* txn) {
   txn->running = false;
   txn->executed_at = sim_.now();
+  txn->exec = ExecState::executed;  // E5: mark executed
   if (txn->deliv == DeliveryState::committable) {  // E1: marked committable?
-    txn->exec = ExecState::executed;
     commit(txn);  // E2-E3: commit, start next
-  } else {
-    txn->exec = ExecState::executed;  // E5: mark executed
-    if (config_.paranoid_checks) check_invariants(txn);
+  } else if (config_.paranoid_checks) {
+    check_invariants(txn);
   }
 }
 
@@ -137,125 +54,79 @@ void OtpReplica::execution_module(TxnRecord* txn) {
 // Figure 6: correctness check module (upon TO-delivery of transaction T_i)
 // ---------------------------------------------------------------------------
 
-void OtpReplica::on_to_deliver(const MsgId& id, TOIndex index) {
-  // CC1: Local Order guarantees Opt-deliver precedes TO-deliver - except for
-  // durable catch-up tombstones, which skip the body entirely because this
-  // site already holds the commit's versions from its own checkpoint + WAL.
-  TxnRecord* txn = txns_.lookup_if_present(id);
-  if (txn == nullptr) {
-    OTPDB_CHECK_MSG(index <= replay_floor_, "TO-delivery without prior Opt-delivery");
-    queries_.advance_to_index(index);
-    return;
-  }
-  txn->to_index = index;
-  to_deliver_one(txn);
-}
-
-void OtpReplica::on_to_deliver_batch(std::span<const ToDelivery> batch) {
-  // A decided burst drains in one pass; per-entry handling is identical to
-  // repeated on_to_deliver calls (commit orders and metrics do not change).
-  for (const auto& [id, index] : batch) on_to_deliver(id, index);
-}
-
-void OtpReplica::to_deliver_one(TxnRecord* txn) {
-  const TOIndex index = txn->to_index;
-  txn->to_delivered_at = sim_.now();
+void OtpReplica::to_delivered(TxnRecord* txn) {
   const auto classes = txn->request->class_span();
-  queries_.advance_to_index(index);
-  for (ClassId c : classes) queries_.note_to_delivered(c, index);
-
-  // Deadline budget. Runs BEFORE the recovery-replay early return so a warm
-  // restart's replay rebuilds the virtual service clock exactly and re-makes
-  // every drop decision identically.
-  apply_service_clock(txn);
-
-  // Crash-recovery replay: a TO-delivery at or below the covered classes'
-  // durable commit watermarks was already committed before the crash -
-  // acknowledge it without re-executing (its versions are in the store). The
-  // queue handling mirrors CC7-CC12 per covered queue: a wrongly ordered live
-  // head is undone, the replayed transaction surfaces to the head of every
-  // covered queue, and is then silently retired.
-  if (index <= queries_.last_committed(classes.front())) {
-#ifndef NDEBUG
-    // Commits are atomic across the covered classes, so the watermarks agree.
-    for (ClassId c : classes) OTPDB_ASSERT(index <= queries_.last_committed(c));
-#endif
-    txn->deliv = DeliveryState::committable;
-    if (txn->running) {
-      sim_.cancel(txn->completion);
-      txn->running = false;
-    }
-    backend_.abort(txn->tid);  // drop any provisional re-execution of replayed work
-    for (ClassId c : classes) {
-      ClassQueue& queue = queues_[c];
-      TxnRecord* head = queue.head();
-      if (head != txn && head->deliv == DeliveryState::pending &&
-          (head->running || head->exec == ExecState::executed)) {
-        abort_transaction(head);
-      }
-      queue.reorder_before_first_pending(txn);
-      // Replayed indices precede every live transaction's index, so no
-      // committable transaction can sit ahead of this one.
-      OTPDB_CHECK(queue.head() == txn);
-    }
+  if (note_to_delivery(txn)) {
+    // Crash-recovery replay: already committed before the crash -
+    // acknowledge it without re-executing (its versions are in the store).
+    // A wrongly ordered live head is undone, the replayed transaction
+    // surfaces to the head of every covered queue, and is then silently
+    // retired. Replayed indices precede every live transaction's index, so
+    // no committable transaction can sit ahead of it.
+    surface(txn);
+    for (ClassId c : classes) OTPDB_CHECK(queues_[c].head() == txn);
     for (ClassId c : classes) queues_[c].remove_head(txn);
-    cancel_ticket_watchdog(txn);
     promote_heads(classes);  // before retire: `classes` views the request
     txns_.retire(txn);
     return;
   }
-
-  metrics_.opt_to_gap_ns.add(static_cast<double>(txn->to_delivered_at - txn->opt_delivered_at));
-
   if (txn->expired) {
-    // Dropped at the definitive order: undo any optimistic effects and
-    // surface the transaction to the head of every covered queue (the same
-    // CC7-CC10 handling a committing transaction would get - the queue
-    // invariant keeps committable transactions ahead of pending ones), then
-    // retire it once it heads them all. No store effects, no commit hook.
-    txn->deliv = DeliveryState::committable;
-    if (txn->running) {
-      sim_.cancel(txn->completion);
-      txn->running = false;
-    }
-    backend_.abort(txn->tid);  // undo provisional effects, if any
-    txn->exec = ExecState::active;
-    for (ClassId c : classes) {
-      ClassQueue& queue = queues_[c];
-      TxnRecord* head = queue.head();
-      if (head != txn && head->deliv == DeliveryState::pending &&
-          (head->running || head->exec == ExecState::executed)) {
-        abort_transaction(head);  // CC8 applies equally ahead of a drop
-      }
-      queue.reorder_before_first_pending(txn);
-    }
+    // Dropped at the definitive order: no store effects, no commit hook. It
+    // retires once it heads all its queues - now, or when a committable
+    // predecessor still executing commits and promote_heads reaches it.
+    surface(txn);
     if (heads_all_queues(txn)) {
-      retire_expired(txn);
+      retire_expired(txn);  // drops the request: no invariant walk over it below
+    } else if (config_.paranoid_checks) {
+      check_invariants(txn);
     }
-    // Else: a committable predecessor is still executing; the retire happens
-    // when its commit promotes this transaction to head (promote_heads).
-    if (config_.paranoid_checks) check_invariants(txn);
     return;
   }
-
   correctness_check_module(txn);
 }
 
-void OtpReplica::apply_service_clock(TxnRecord* txn) {
-  const TxnRequest& request = *txn->request;
-  // Every non-dropped transaction occupies exec_duration of virtual serial
-  // service per covered class, starting no earlier than its submission and
-  // the covered classes' backlogs. Under overload the clock runs ahead of
-  // real submit times - that growing gap is exactly the queueing delay the
-  // deadline is budgeting against.
-  SimTime vstart = request.submitted_at;
-  for (ClassId c : request.class_span()) vstart = std::max(vstart, service_clock_[c]);
-  const SimTime vfinish = vstart + request.exec_duration;
-  if (request.deadline != 0 && vfinish > request.deadline) {
-    txn->expired = true;  // dropped: occupies no service time
+void OtpReplica::correctness_check_module(TxnRecord* txn) {
+  if (txn->exec == ExecState::executed) {  // CC2 (an executed txn heads all its queues)
+    OTPDB_CHECK(heads_all_queues(txn));
+    txn->deliv = DeliveryState::committable;
+    commit(txn);  // CC3-CC4
     return;
   }
-  for (ClassId c : request.class_span()) service_clock_[c] = vfinish;
+  txn->deliv = DeliveryState::committable;  // CC6
+  bool moved = false;
+  for (ClassId c : txn->request->class_span()) {
+    ClassQueue& queue = queues_[c];
+    OTPDB_ASSERT(queue.contains(txn));
+    undo_wrongly_ordered_head(queue, txn);              // CC7-CC8
+    moved |= queue.reorder_before_first_pending(txn);  // CC10
+  }
+  if (moved) ++metrics_.mismatch_reorders;
+  if (!txn->running && heads_all_queues(txn)) {  // CC11 (unless already executing)
+    execute(txn);                                // CC12
+  }
+  if (config_.paranoid_checks) check_invariants(txn);
+}
+
+void OtpReplica::undo_wrongly_ordered_head(ClassQueue& queue, const TxnRecord* txn) {
+  // A pending head that has produced (or is producing) optimistic effects
+  // ahead of txn is wrongly ordered - undo it. A pending head that never
+  // started (a multi-class transaction waiting on another queue) has nothing
+  // to undo; CC10 simply reorders past it.
+  TxnRecord* head = queue.head();
+  if (head != txn && head->deliv == DeliveryState::pending &&
+      (head->running || head->exec == ExecState::executed)) {
+    OTPDB_ASSERT(heads_all_queues(head));  // optimistic effects imply heading all
+    abort_transaction(head);
+  }
+}
+
+void OtpReplica::surface(TxnRecord* txn) {
+  txn->deliv = DeliveryState::committable;
+  undo(txn);
+  for (ClassId c : txn->request->class_span()) {
+    undo_wrongly_ordered_head(queues_[c], txn);
+    queues_[c].reorder_before_first_pending(txn);
+  }
 }
 
 void OtpReplica::retire_expired(TxnRecord* txn) {
@@ -273,9 +144,7 @@ void OtpReplica::retire_expired(TxnRecord* txn) {
   // wake): a query waiting on this index would otherwise block forever, and
   // the recovery replay relies on the watermark covering dropped slots. Reads
   // at this index fall back to the predecessor version - a drop is a no-op.
-  for (ClassId c : classes) queries_.note_committed(c, index, /*wake=*/false);
-  queries_.wake_waiters(index);
-  cancel_ticket_watchdog(txn);
+  advance_watermarks(classes, index);
   promote_heads(classes);  // before retire: `classes` views the request
   txns_.retire(txn);
 }
@@ -302,172 +171,14 @@ void OtpReplica::promote_heads(std::span<const ClassId> classes) {
   promoting_ = false;
 }
 
-void OtpReplica::crash_recover_reset() {
-  txns_.for_each_live([this](TxnRecord* txn) {
-    if (txn->running) sim_.cancel(txn->completion);
-  });
-  for (const auto& timer : ticket_timers_) wheel_.cancel(timer);  // stale ids no-op
-  txns_.clear();
-  for (std::size_t c = 0; c < queues_.size(); ++c) {
-    queues_[c] = ClassQueue(static_cast<ClassId>(c));
-  }
-  backend_.clear_provisional();
-  queries_.reset_volatile();
-  // The virtual service clock rebuilds from zero during the recovery replay
-  // (apply_service_clock runs before the replay early-return), so every
-  // pre-crash drop decision is re-derived identically.
-  service_clock_.assign(service_clock_.size(), 0);
-  promote_stack_.clear();
-  promoting_ = false;
-  admission_.reset();
-}
-
-void OtpReplica::restart_from_disk(std::span<const TOIndex> class_watermarks,
-                                   TOIndex durable_floor) {
-  crash_recover_reset();  // volatile state is equally gone on a cold restart
-  queries_.restore_watermarks(class_watermarks);
-  replay_floor_ = durable_floor;
-}
-
-void OtpReplica::correctness_check_module(TxnRecord* txn) {
-  if (txn->exec == ExecState::executed) {  // CC2 (an executed txn heads all its queues)
-    OTPDB_CHECK(heads_all_queues(txn));
-    txn->deliv = DeliveryState::committable;
-    commit(txn);  // CC3-CC4
-    return;
-  }
-  txn->deliv = DeliveryState::committable;  // CC6
-  bool moved = false;
-  for (ClassId c : txn->request->class_span()) {
-    ClassQueue& queue = queues_[c];
-    OTPDB_ASSERT(queue.contains(txn));
-    TxnRecord* head = queue.head();
-    // CC7: a pending head that has produced (or is producing) optimistic
-    // effects ahead of txn is wrongly ordered - undo it (CC8). A pending head
-    // that never started (a multi-class transaction waiting on another queue)
-    // has nothing to undo; CC10 simply reorders past it.
-    if (head != txn && head->deliv == DeliveryState::pending &&
-        (head->running || head->exec == ExecState::executed)) {
-      abort_transaction(head);  // CC8
-    }
-    moved |= queue.reorder_before_first_pending(txn);  // CC10
-  }
-  if (moved) ++metrics_.mismatch_reorders;
-  if (!txn->running && heads_all_queues(txn)) {  // CC11 (unless already executing)
-    submit_execution(txn);                       // CC12
-  }
-  if (config_.paranoid_checks) check_invariants(txn);
-}
-
-// ---------------------------------------------------------------------------
-// Execution, abort (undo), commit
-// ---------------------------------------------------------------------------
-
-bool OtpReplica::heads_all_queues(const TxnRecord* txn) const {
-  for (ClassId c : txn->request->class_span()) {
-    if (queues_[c].head() != txn) return false;
-  }
-  return true;
-}
-
-void OtpReplica::try_execute(TxnRecord* txn) {
-  if (txn->expired) return;  // dropped at TO-delivery: retired, never executed
-  if (txn->running || txn->exec != ExecState::active) return;
-  if (!heads_all_queues(txn)) return;
-  submit_execution(txn);
-}
-
-void OtpReplica::submit_execution(TxnRecord* txn) {
-  OTPDB_CHECK(!txn->running);
-  OTPDB_CHECK(txn->exec == ExecState::active);
-  OTPDB_CHECK(heads_all_queues(txn));
-  txn->running = true;
-  ++txn->attempts;
-  if (txn->attempts > 1) ++metrics_.reexecutions;
-  // Apply the stored procedure's effects as provisional versions now; the
-  // completion event models the execution cost. An abort in between rolls the
-  // provisional versions back, exactly like undo-based recovery.
-  const bool record_sets = commit_hook_ != nullptr;  // checker wants read/write sets
-  const TxnRequest& request = *txn->request;
-  auto run_in = [&](TxnContext& ctx) {
-    registry_.get(request.proc)(ctx);
-    txn->last_reads = ctx.take_reads();
-    txn->last_writes = ctx.take_writes();
-  };
-  if (request.multi_class()) {
-    TxnContext ctx(store_, catalog_, request.class_span(), txn->tid, request.args, record_sets);
-    run_in(ctx);
-  } else {
-    TxnContext ctx(store_, catalog_, txn->tid, request.klass, request.args, record_sets);
-    run_in(ctx);
-  }
-  txn->completion =
-      sim_.schedule_after(request.exec_duration, [this, txn] { execution_module(txn); });
-}
-
-void OtpReplica::abort_transaction(TxnRecord* txn) {
-  // CC8 preconditions: the wrongly ordered transaction is pending and has
-  // optimistic effects to undo - which implies it heads all its queues.
-  OTPDB_CHECK(txn->deliv == DeliveryState::pending);
-  OTPDB_CHECK(txn->running || txn->exec == ExecState::executed);
-  OTPDB_ASSERT(heads_all_queues(txn));
-  if (txn->running) {
-    sim_.cancel(txn->completion);
-    txn->running = false;
-  }
-  backend_.abort(txn->tid);  // undo provisional effects
-  txn->exec = ExecState::active;
-  ++metrics_.aborts;
-  OTPDB_TRACE("otp") << "site " << self_ << " aborts txn (" << txn->id.sender << ","
-                     << txn->id.seq << ") for rescheduling";
-}
-
 void OtpReplica::commit(TxnRecord* txn) {
-  OTPDB_CHECK(txn->exec == ExecState::executed);
-  OTPDB_CHECK(txn->deliv == DeliveryState::committable);
-  OTPDB_CHECK(txn->to_index > 0);
   OTPDB_CHECK(heads_all_queues(txn));
   const auto classes = txn->request->class_span();
-
-  txn->committed_at = sim_.now();
-  CommitRecord record;
-  if (commit_hook_) {
-    record.site = self_;
-    record.txn = txn->id;
-    record.proc = txn->request->proc;
-    record.klass = txn->request->klass;
-    if (txn->request->multi_class()) {
-      record.classes.assign(classes.begin(), classes.end());
-    }
-    record.index = txn->to_index;
-    record.at = txn->committed_at;
-    const auto writes = store_.provisional_writes(txn->tid);
-    record.writes.assign(writes.begin(), writes.end());
-    record.reads = txn->last_reads;
-  }
-
-  backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
+  const CommitRecord record = apply_commit(txn);
   for (ClassId c : classes) queues_[c].remove_head(txn);
-
-  ++metrics_.committed;
-  if (txn->request->origin == self_) {
-    const double latency = static_cast<double>(txn->committed_at - txn->request->submitted_at);
-    metrics_.commit_latency_ns.add(latency);
-    metrics_.commit_latency_percentiles_ns.add(latency);
-  }
-  // Time spent fully executed but waiting for the definitive order: the part
-  // of the broadcast's coordination cost the overlap failed to hide.
-  metrics_.commit_wait_ns.add(static_cast<double>(txn->committed_at - txn->executed_at));
-  if (commit_hook_) commit_hook_(record);
-
-  const TOIndex committed_index = txn->to_index;
-
-  // Advance every covered class watermark before waking waiters, so a query
-  // spanning several covered classes never observes a half-committed state.
-  for (ClassId c : classes) queries_.note_committed(c, committed_index, /*wake=*/false);
-  queries_.wake_waiters(committed_index);
+  count_commit(txn, record);
+  advance_watermarks(classes, txn->to_index);
   if (config_.paranoid_checks) check_invariants(txn);
-  cancel_ticket_watchdog(txn);
   // E3/CC4: removing txn may promote the next head of every covered queue to
   // heads-all status; start whichever can now run, and retire expired
   // committable heads exposed by the removal (promote_heads' guards make the
@@ -475,23 +186,6 @@ void OtpReplica::commit(TxnRecord* txn) {
   // Before retire: `classes` views the request the retire drops.
   promote_heads(classes);
   txns_.retire(txn);  // txn's slot is reusable beyond this point
-}
-
-void OtpReplica::arm_ticket_watchdog(const TxnRecord* txn) {
-  if (config_.ticket_timeout <= 0) return;
-  if (ticket_timers_.size() <= txn->tid) ticket_timers_.resize(txn->tid + 1);
-  const TxnId tid = txn->tid;
-  ticket_timers_[tid] = wheel_.schedule_after(config_.ticket_timeout, [this, tid] {
-    // Detection only: the ticket (queue position) is fixed by the definitive
-    // order, so a stall is surfaced, never "resolved" by aborting.
-    ++metrics_.ticket_timeouts;
-    OTPDB_DEBUG("otp") << "site " << self_ << " ticket timeout for txn slot " << tid;
-  });
-}
-
-void OtpReplica::cancel_ticket_watchdog(const TxnRecord* txn) {
-  if (config_.ticket_timeout <= 0) return;
-  if (txn->tid < ticket_timers_.size()) wheel_.cancel(ticket_timers_[txn->tid]);
 }
 
 void OtpReplica::check_invariants(const TxnRecord* txn) const {

@@ -38,121 +38,53 @@
 // MsgId becomes a dense site-local TxnId, and the transaction table, the
 // store's provisional write-sets and the commit path all index flat arrays by
 // it. Retired ids (and their record/write-set storage) are recycled.
+//
+// Submission, delivery plumbing, procedure runs, the commit record and the
+// crash reset live in OrderedReplica; the class queues, the head-of-all
+// gating and the deadline service clock in ClassQueueReplica (both in
+// core/ordered_replica.h).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "abcast/abcast.h"
-#include "core/class_queue.h"
-#include "core/metrics.h"
-#include "core/query.h"
-#include "core/query_engine.h"
-#include "core/replica_base.h"
-#include "core/txn.h"
-#include "core/txn_table.h"
-#include "db/partition.h"
-#include "db/procedures.h"
-#include "db/storage_backend.h"
-#include "db/versioned_store.h"
-#include "sim/simulator.h"
-#include "sim/timer_wheel.h"
+#include "core/ordered_replica.h"
 
 namespace otpdb {
 
 struct OtpReplicaConfig {
   /// Validate queue invariants after every module step (debug/property tests).
   bool paranoid_checks = false;
-  /// Liveness watchdog on class-queue tickets: a transaction still
-  /// uncommitted this long after its Opt-delivery bumps
-  /// ReplicaMetrics::ticket_timeouts (detection only - the commit order is
-  /// fixed by TO-delivery, so nothing is aborted). 0 disables the watchdog.
-  /// Timers are armed per transaction and cancelled at commit, so they live
-  /// on the replica's timer wheel (sim/timer_wheel.h), not the event heap.
-  SimTime ticket_timeout = 0;
 };
 
-class OtpReplica final : public ReplicaBase {
+class OtpReplica final : public ClassQueueReplica {
  public:
   OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
              const PartitionCatalog& catalog, const ProcedureRegistry& registry, SiteId self,
              OtpReplicaConfig config = {});
 
-  // ReplicaBase:
-  SubmitResult submit_update(ProcId proc, ClassId klass, TxnArgs args, SimTime exec_duration,
-                             SimTime deadline = 0) override;
-  /// Cross-partition update: enqueued into every covered class queue on
-  /// Opt-deliver, executed only while heading all of them, committed/aborted
-  /// across all of them atomically. Queues are always entered in ascending
-  /// class order at every site (same tentative order everywhere), so the
-  /// gating is deadlock-free.
-  SubmitResult submit_update_multi(ProcId proc, std::vector<ClassId> classes, TxnArgs args,
-                                   SimTime exec_duration, SimTime deadline = 0) override;
-  void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) override;
-  const ReplicaMetrics& metrics() const override { return metrics_; }
-  SiteId site() const override { return self_; }
-
-  /// Commit hook for history recording (checker) - invoked at every commit.
-  void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
-
-  /// Transactions not yet committed plus queries not yet answered.
-  std::size_t in_flight() const override {
-    return txns_.live() + metrics_.queries_in_flight();
-  }
-
-  /// Introspection for tests: the class queue of `klass`.
-  const ClassQueue& class_queue(ClassId klass) const { return queues_[klass]; }
-  /// Highest definitive index processed at this site.
-  TOIndex last_to_index() const { return queries_.last_to_index(); }
-  /// Introspection for tests: the MsgId -> TxnId interner.
-  const TxnIdInterner& interner() const { return txns_.interner(); }
-
   /// Garbage-collects versions no active or future snapshot can reach.
   /// Returns the number of versions dropped. Safe to call at any time.
   std::size_t prune_versions() { return store_.prune(queries_.gc_horizon()); }
 
-  // Direct event entry points (public so unit tests can drive the modules
-  // without a network; production wiring goes through the abcast callbacks).
-  void on_opt_deliver(const Message& msg);
-  void on_to_deliver(const MsgId& id, TOIndex index);
-  /// Batched TO-delivery: drains a burst in one pass (same per-entry
-  /// semantics and ordering as repeated on_to_deliver calls).
-  void on_to_deliver_batch(std::span<const ToDelivery> batch);
-
-  /// Crash recovery: drops all volatile state (class queues, in-flight
-  /// transactions and their scheduled completions, provisional writes,
-  /// TO-delivery history). Committed versions and the per-class commit
-  /// watermarks survive; during the redo replay, TO-deliveries at or below a
-  /// class watermark are acknowledged without re-execution.
-  void crash_recover_reset() override;
-
-  /// Cold restart over the durable tier: the store was already rebuilt from
-  /// checkpoint + WAL; this winds the query watermarks back to the durable
-  /// marks and accepts body-less TO-delivery tombstones up to `durable_floor`
-  /// during catch-up.
-  void restart_from_disk(std::span<const TOIndex> class_watermarks,
-                         TOIndex durable_floor) override;
-
  private:
-  // -- Figure 4: serialization module ---------------------------------------
-  void serialization_module(TxnRecord* txn);
-  // -- Figure 5: execution module --------------------------------------------
-  void execution_module(TxnRecord* txn);
-  // -- Figure 6: correctness check module ------------------------------------
+  // -- Figure 4: serialization module (upon Opt-delivery) --------------------
+  void opt_delivered(TxnRecord* txn) override;
+  // -- Figure 5: execution module (upon complete execution) ------------------
+  void execution_done(TxnRecord* txn) override;
+  // -- Figure 6: correctness check module (upon TO-delivery) -----------------
+  void to_delivered(TxnRecord* txn) override;
   void correctness_check_module(TxnRecord* txn);
 
-  /// Builds and TO-broadcasts a request. `classes` is empty for single-class
-  /// submissions, the normalized set (and klass its first element) otherwise.
-  void broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
-                         TxnArgs args, SimTime exec_duration, SimTime deadline);
-
-  void to_deliver_one(TxnRecord* txn);
-  /// Deadline budget at TO-delivery: advances the per-class virtual service
-  /// clock and marks `txn` expired when its virtual finish time overruns the
-  /// deadline. A pure function of the definitive order + request fields, so
-  /// every site makes the same decision for every transaction.
-  void apply_service_clock(TxnRecord* txn);
+  /// CC7-CC8 for one covered queue: undoes its head when that head is a
+  /// pending transaction ahead of `txn` with optimistic effects.
+  void undo_wrongly_ordered_head(ClassQueue& queue, const TxnRecord* txn);
+  /// For a transaction that retires without committing here (a recovery
+  /// replay or a deadline drop): undoes its own optimistic effects and
+  /// surfaces it to the head of the pending suffix of every covered queue -
+  /// the CC7-CC10 handling a committing transaction would get, so the queue
+  /// invariant keeps committable transactions ahead of pending ones.
+  void surface(TxnRecord* txn);
   /// Retires an expired transaction heading all its covered queues: no
   /// effects, no commit hook, but the commit watermarks advance (waiting
   /// queries must not block on a slot that will never produce versions).
@@ -162,52 +94,13 @@ class OtpReplica final : public ReplicaBase {
   /// recursion) because N consecutive expired heads retire each other in a
   /// chain under overload.
   void promote_heads(std::span<const ClassId> classes);
-  /// True when `txn` heads every class queue it covers (trivially its single
-  /// queue in the base model). Only such a transaction may run or commit.
-  bool heads_all_queues(const TxnRecord* txn) const;
-  /// Starts execution if `txn` is active, not running, and heads all its
-  /// queues (S3-S5 / CC11-CC12 generalized).
-  void try_execute(TxnRecord* txn);
-  void submit_execution(TxnRecord* txn);
-  void abort_transaction(TxnRecord* txn);  // CC8: undo a wrongly ordered head
   void commit(TxnRecord* txn);
-
-  /// Ticket-timeout watchdog (OtpReplicaConfig::ticket_timeout): armed at
-  /// Opt-delivery, cancelled at retirement, dense per-TxnId handles.
-  void arm_ticket_watchdog(const TxnRecord* txn);
-  void cancel_ticket_watchdog(const TxnRecord* txn);
 
   void check_invariants(const TxnRecord* txn) const;
 
-  Simulator& sim_;
-  AtomicBroadcast& abcast_;
-  StorageBackend& backend_;
-  VersionedStore& store_;  // backend_.memory(): reads + provisional writes
-  const PartitionCatalog& catalog_;
-  const ProcedureRegistry& registry_;
-  SiteId self_;
   OtpReplicaConfig config_;
-  /// Commits at or below this index arrive as body-less tombstones during a
-  /// cold-restart catch-up (they are already applied from disk).
-  TOIndex replay_floor_ = 0;
-
-  std::vector<ClassQueue> queues_;
-  TxnTable txns_;
-  /// Per-class virtual service clock (deadline budgets): the virtual time at
-  /// which the class's serial service of all non-dropped TO-delivered
-  /// transactions finishes. Fed only by agreed data (definitive order,
-  /// submitted_at, exec_duration), hence identical at every site, and rebuilt
-  /// by the recovery replay (updated before the replay early-return).
-  std::vector<SimTime> service_clock_;
   std::vector<ClassId> promote_stack_;  // promote_heads worklist
   bool promoting_ = false;              // reentrancy guard for promote_heads
-  TimerWheel wheel_{sim_};                       // ticket-timeout watchdogs
-  std::vector<TimerWheel::TimerId> ticket_timers_;  // dense, indexed by TxnId
-
-  std::uint64_t next_client_seq_ = 0;
-  ReplicaMetrics metrics_;
-  QueryEngine queries_;
-  CommitHook commit_hook_;
 };
 
 }  // namespace otpdb

@@ -1,7 +1,9 @@
 // Common interface of the replication engines in this repository: the OTP
-// engine (paper Section 3), the conservative engine (execute after TO-deliver)
-// and the lazy engine (commercial-style asynchronous replication). Benches and
-// the workload driver talk to replicas through this interface only.
+// engine (paper Section 3), the lock-table engine (OTP over object queues,
+// Section 6), the conservative engine (execute after TO-deliver) and the lazy
+// engine (commercial-style asynchronous replication). The first three share
+// their implementation core, OrderedReplica (core/ordered_replica.h). Benches
+// and the workload drivers talk to replicas through this interface only.
 #pragma once
 
 #include <functional>

@@ -22,6 +22,7 @@
 #include "db/partition.h"
 #include "db/procedures.h"
 #include "util/rng.h"
+#include "workload/client_retry.h"
 
 namespace otpdb::tpcc {
 
@@ -69,7 +70,9 @@ Procedures register_procedures(ProcedureRegistry& registry, const PartitionCatal
 /// Loads initial stock (and zeroed counters) at every site of the cluster.
 void load_initial_state(Cluster& cluster, const Layout& layout);
 
-struct MixConfig {
+/// The overload-plane fields (deadline budget, retries, backoff) come from
+/// RetryPolicy.
+struct MixConfig : RetryPolicy {
   double new_order_weight = 0.45;
   double payment_weight = 0.43;
   double delivery_weight = 0.04;
@@ -87,24 +90,11 @@ struct MixConfig {
   /// The home warehouse keeps its Zipf affinity; the remote one is uniform
   /// among the others.
   double remote_txn_fraction = 0.0;
-
-  // --- Overload plane (all off by default: identical rng streams and
-  // submissions to the pre-overload driver) ---
-
-  /// Deadline budget per update (0 = none): absolute deadline = first-attempt
-  /// time + budget; retries keep the original deadline.
-  SimTime deadline_budget = 0;
-  /// Client retries after a shed/backpressure refusal (0 = fire-and-forget).
-  std::size_t max_retries = 0;
-  /// delay = min(backoff_cap, backoff_base << attempt) + uniform jitter in
-  /// [0, backoff_jitter], drawn from the site rng ONLY on a refusal.
-  SimTime backoff_base = 2 * kMillisecond;
-  SimTime backoff_cap = 64 * kMillisecond;
-  SimTime backoff_jitter = 1 * kMillisecond;
 };
 
-/// Per-transaction-type counters reported by the driver.
-struct MixStats {
+/// Per-transaction-type counters reported by the driver, plus the retry
+/// loop's outcomes (RetryStats).
+struct MixStats : RetryStats {
   std::uint64_t new_orders = 0;
   std::uint64_t payments = 0;
   std::uint64_t deliveries = 0;
@@ -112,9 +102,6 @@ struct MixStats {
   std::uint64_t remote_new_orders = 0;  ///< cross-warehouse NewOrders (subset of new_orders)
   std::uint64_t remote_payments = 0;    ///< cross-warehouse Payments (subset of payments)
   std::int64_t payment_volume = 0;  ///< total amount across submitted payments
-  std::uint64_t retries = 0;            ///< re-submissions after shed/backpressure
-  std::uint64_t gave_up = 0;            ///< updates abandoned after max_retries
-  std::uint64_t expired_presubmit = 0;  ///< deadline passed before admission
 };
 
 /// Drives the TPC-C-lite mix against a cluster (any engine).
@@ -136,24 +123,8 @@ class TpccDriver {
   std::vector<std::string> audit(SiteId site);
 
  private:
-  /// A generated update held across retry attempts: the arguments were drawn
-  /// once; every attempt resubmits the same transaction with its original
-  /// deadline (audit invariants hold because a refused attempt writes
-  /// nothing - the audit only counts *admitted* work).
-  struct PendingTxn {
-    bool cross = false;
-    ProcId proc = 0;
-    ClassId klass = 0;
-    std::vector<ClassId> classes;  // cross-warehouse only
-    TxnArgs args;
-    SimTime exec_duration = 0;
-    SimTime deadline = 0;  // absolute; 0 = none
-    std::size_t attempts = 0;
-  };
-
   void schedule_next(SiteId site, SimTime horizon);
   void submit_one(SiteId site);
-  void attempt_submit(SiteId site, PendingTxn pending);
 
   Cluster& cluster_;
   Layout layout_;
@@ -161,6 +132,7 @@ class TpccDriver {
   std::vector<Rng> site_rngs_;
   Procedures procs_;
   MixStats stats_;
+  ClientRetry retry_;
   bool started_ = false;
 };
 

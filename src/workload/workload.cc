@@ -1,7 +1,6 @@
 #include "workload/workload.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "util/assert.h"
@@ -34,7 +33,7 @@ ProcId register_rmw_cross_procedure(ProcedureRegistry& registry) {
 }
 
 WorkloadDriver::WorkloadDriver(Cluster& cluster, WorkloadConfig config, std::uint64_t seed)
-    : cluster_(cluster), config_(config) {
+    : cluster_(cluster), config_(config), retry_(cluster, config_, site_rngs_, retry_stats_) {
   Rng master(seed);
   site_rngs_.reserve(cluster.site_count());
   for (std::size_t s = 0; s < cluster.site_count(); ++s) site_rngs_.push_back(master.split());
@@ -124,53 +123,7 @@ void WorkloadDriver::submit_one(SiteId site) {
   pending.klass = klass;
   pending.args = std::move(args);
   pending.exec_duration = exec;
-  if (config_.deadline_budget != 0) {
-    pending.deadline = cluster_.sim().now() + config_.deadline_budget;
-  }
-  attempt_submit(site, std::move(pending));
-}
-
-void WorkloadDriver::attempt_submit(SiteId site, PendingUpdate pending) {
-  // Arguments are copied into each attempt so a refusal keeps the original.
-  ReplicaBase& replica = cluster_.replica(site);
-  const SubmitResult result =
-      pending.cross ? replica.submit_update_multi(pending.proc, pending.classes, pending.args,
-                                                  pending.exec_duration, pending.deadline)
-                    : replica.submit_update(pending.proc, pending.klass, pending.args,
-                                            pending.exec_duration, pending.deadline);
-  switch (result) {
-    case SubmitResult::admitted:
-      return;
-    case SubmitResult::expired:
-      // Deadline budget ran out while the client was backing off (or the
-      // site's queue never cleared in time). Nothing more to do.
-      ++expired_presubmit_;
-      return;
-    case SubmitResult::shed:
-    case SubmitResult::backpressure:
-      break;  // retryable refusals
-  }
-  if (pending.attempts >= config_.max_retries) {
-    ++gave_up_;
-    return;
-  }
-  // Deterministic exponential backoff. The jitter draw happens ONLY here, on
-  // a refusal, so runs that never shed consume the exact same rng stream as
-  // the pre-overload driver.
-  const std::size_t shift = std::min<std::size_t>(pending.attempts, 20);
-  SimTime delay = std::min(config_.backoff_cap, config_.backoff_base << shift);
-  if (config_.backoff_jitter > 0) {
-    delay += static_cast<SimTime>(site_rngs_[site].uniform_int(
-        0, static_cast<std::int64_t>(config_.backoff_jitter)));
-  }
-  ++pending.attempts;
-  ++retries_;
-  // Boxed: the event capture must stay within InlineAction::kCapacity, and a
-  // PendingUpdate (two vectors + scalars) does not.
-  cluster_.sim().schedule_after(
-      delay, [this, site, boxed = std::make_unique<PendingUpdate>(std::move(pending))]() {
-        attempt_submit(site, std::move(*boxed));
-      });
+  retry_.submit(site, std::move(pending));
 }
 
 void WorkloadDriver::submit_cross_class(SiteId site, Rng& rng) {
@@ -207,10 +160,7 @@ void WorkloadDriver::submit_cross_class(SiteId site, Rng& rng) {
   pending.classes = std::move(classes);
   pending.args = std::move(args);
   pending.exec_duration = exec;
-  if (config_.deadline_budget != 0) {
-    pending.deadline = cluster_.sim().now() + config_.deadline_budget;
-  }
-  attempt_submit(site, std::move(pending));
+  retry_.submit(site, std::move(pending));
 }
 
 }  // namespace otpdb

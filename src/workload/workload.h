@@ -10,10 +10,13 @@
 #include "core/cluster.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
+#include "workload/client_retry.h"
 
 namespace otpdb {
 
-struct WorkloadConfig {
+/// The overload-plane fields (deadline budget, retries, backoff) come from
+/// RetryPolicy.
+struct WorkloadConfig : RetryPolicy {
   /// Client update-transaction arrival rate per site (per simulated second).
   double updates_per_second_per_site = 100.0;
   /// Poisson arrivals (exponential gaps) or a fixed submission interval.
@@ -49,23 +52,6 @@ struct WorkloadConfig {
 
   /// Length of the submission window (simulated time).
   SimTime duration = 2 * kSecond;
-
-  // --- Overload plane (all off by default: identical rng streams and
-  // submissions to the pre-overload driver) ---
-
-  /// Deadline budget per update (0 = none). Each update carries an absolute
-  /// deadline of first-submission time + this budget; retries keep the
-  /// original deadline, so backing off consumes the budget.
-  SimTime deadline_budget = 0;
-  /// Client retries after a shed/backpressure refusal (0 = fire-and-forget).
-  std::size_t max_retries = 0;
-  /// Deterministic exponential backoff between attempts:
-  /// delay = min(backoff_cap, backoff_base << attempt) + uniform jitter in
-  /// [0, backoff_jitter], drawn from the site rng ONLY on a refusal (so
-  /// non-shedding runs draw the exact same streams as before).
-  SimTime backoff_base = 2 * kMillisecond;
-  SimTime backoff_cap = 64 * kMillisecond;
-  SimTime backoff_jitter = 1 * kMillisecond;
 };
 
 /// Registers the standard read-modify-write stored procedure used by the
@@ -96,33 +82,18 @@ class WorkloadDriver {
   std::uint64_t cross_class_submitted() const { return cross_class_submitted_; }
   std::uint64_t queries_submitted() const { return queries_submitted_; }
   /// Re-submissions after a shed/backpressure refusal.
-  std::uint64_t retries() const { return retries_; }
+  std::uint64_t retries() const { return retry_stats_.retries; }
   /// Updates abandoned after exhausting max_retries.
-  std::uint64_t gave_up() const { return gave_up_; }
+  std::uint64_t gave_up() const { return retry_stats_.gave_up; }
   /// Updates whose deadline passed before an attempt was admitted.
-  std::uint64_t expired_presubmit() const { return expired_presubmit_; }
+  std::uint64_t expired_presubmit() const { return retry_stats_.expired_presubmit; }
   ProcId rmw_proc() const { return rmw_proc_; }
   ProcId rmw_cross_proc() const { return rmw_cross_proc_; }
 
  private:
-  /// A generated update held by the client across retry attempts. Arguments
-  /// are drawn once; every attempt submits the same transaction with the same
-  /// (original) deadline.
-  struct PendingUpdate {
-    bool cross = false;
-    ProcId proc = 0;
-    ClassId klass = 0;
-    std::vector<ClassId> classes;  // cross-class only
-    TxnArgs args;
-    SimTime exec_duration = 0;
-    SimTime deadline = 0;  // absolute; 0 = none
-    std::size_t attempts = 0;
-  };
-
   void schedule_next(SiteId site, SimTime horizon);
   void submit_one(SiteId site);
   void submit_cross_class(SiteId site, Rng& rng);
-  void attempt_submit(SiteId site, PendingUpdate pending);
   SimTime next_gap(Rng& rng) const;
 
   Cluster& cluster_;
@@ -133,9 +104,8 @@ class WorkloadDriver {
   std::uint64_t updates_submitted_ = 0;
   std::uint64_t cross_class_submitted_ = 0;
   std::uint64_t queries_submitted_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t gave_up_ = 0;
-  std::uint64_t expired_presubmit_ = 0;
+  RetryStats retry_stats_;
+  ClientRetry retry_;
   bool started_ = false;
 };
 

@@ -26,10 +26,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
-#include "core/lock_table_replica.h"
 #include "db/durable_store.h"
 #include "net/topology.h"
 #include "workload/tpcc_lite.h"
@@ -230,14 +228,8 @@ RunResult run_mixed(EngineKind engine, bool chaos, bool durable = false) {
   config.seed = 77;
   config.net.loss_prob = chaos ? 0.01 : 0.0;
   if (durable) config.storage.backend = StorageBackendKind::durable;
-  auto cluster = engine == EngineKind::conservative
-                     ? std::make_unique<Cluster>(config,
-                                                 [](const ReplicaDeps& d) {
-                                                   return std::make_unique<ConservativeReplica>(
-                                                       d.sim, d.abcast, d.storage, d.catalog,
-                                                       d.registry, d.site);
-                                                 })
-                     : std::make_unique<Cluster>(config);
+  auto cluster = std::make_unique<Cluster>(
+      config, engine_factory(engine == EngineKind::conservative ? "conservative" : "otp"));
   HistoryRecorder recorder(*cluster);
 
   WorkloadConfig wl;
@@ -353,10 +345,7 @@ RunResult run_lock_table_mixed() {
   config.objects_per_class = 32;
   config.seed = 77;
   config.net.loss_prob = 0.01;
-  auto cluster = std::make_unique<Cluster>(config, [](const ReplicaDeps& d) {
-    return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
-                                              d.site, rmw_access_extractor(d.catalog));
-  });
+  auto cluster = std::make_unique<Cluster>(config, engine_factory("locktable"));
   HistoryRecorder recorder(*cluster);
 
   WorkloadConfig wl;
@@ -394,10 +383,7 @@ RunResult run_conservative_overload_crash() {
   config.admission.shed_depth = 160;
   config.admission.resume_depth = 64;
   config.opt.max_inflight_per_sender = 128;
-  auto cluster = std::make_unique<Cluster>(config, [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  });
+  auto cluster = std::make_unique<Cluster>(config, engine_factory("conservative"));
   HistoryRecorder recorder(*cluster);
 
   WorkloadConfig wl;

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 
-#include "baseline/conservative_replica.h"
 #include "baseline/lazy_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
@@ -30,19 +29,6 @@ NetConfig stormy_network() {
   cfg.hiccup_mean = 3 * kMillisecond;
   cfg.noise_max = 100 * kMicrosecond;
   return cfg;
-}
-
-ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
-ReplicaFactory lazy_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry, d.site);
-  };
 }
 
 std::vector<const VersionedStore*> all_stores(Cluster& cluster) {
@@ -68,8 +54,11 @@ TEST_P(OtpClusterSweep, OneCopySerializableAndStarvationFree) {
   config.seed = p.seed;
   config.abcast = p.abcast;
   config.net = p.stormy ? stormy_network() : calm_network();
-  config.otp.paranoid_checks = true;
-  Cluster cluster(config);
+  // Every site validates the class-queue invariants after each module step.
+  Cluster cluster(config, [](const ReplicaDeps& d) {
+    return std::make_unique<OtpReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
+                                        d.site, OtpReplicaConfig{.paranoid_checks = true});
+  });
   HistoryRecorder recorder(cluster);
 
   WorkloadConfig wl;
@@ -155,7 +144,7 @@ TEST(ConservativeCluster, CorrectButNeverAborts) {
   config.n_classes = 6;
   config.seed = 21;
   config.net = stormy_network();
-  Cluster cluster(config, conservative_factory());
+  Cluster cluster(config, engine_factory("conservative"));
   HistoryRecorder recorder(cluster);
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 100;
@@ -200,7 +189,7 @@ TEST(ClusterComparison, OtpHidesOrderingLatencyBehindExecution) {
     return latency.mean();
   };
   const double otp = mean_latency(nullptr);
-  const double conservative = mean_latency(conservative_factory());
+  const double conservative = mean_latency(engine_factory("conservative"));
   EXPECT_LT(otp, conservative);
 }
 
@@ -211,7 +200,7 @@ TEST(LazyCluster, FastButNotOneCopySerializable) {
   config.objects_per_class = 4;
   config.seed = 33;
   config.net = calm_network();
-  Cluster cluster(config, lazy_factory());
+  Cluster cluster(config, engine_factory("lazy"));
   HistoryRecorder recorder(cluster);
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 200;
@@ -245,7 +234,7 @@ TEST(LazyCluster, LastWriterWinsConvergesEventually) {
   config.objects_per_class = 4;
   config.seed = 44;
   config.net = calm_network();
-  Cluster cluster(config, lazy_factory());
+  Cluster cluster(config, engine_factory("lazy"));
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 100;
   wl.duration = 500 * kMillisecond;

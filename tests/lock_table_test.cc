@@ -198,13 +198,6 @@ TEST(LockTable, ChainedWaitsResolveInDefinitiveOrder) {
 
 // --- Full-cluster integration ------------------------------------------------
 
-ReplicaFactory lock_table_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
-                                              d.site, rmw_access_extractor(d.catalog));
-  };
-}
-
 TEST(LockTableCluster, ObjectLevelSerializableUnderLoad) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     ClusterConfig config;
@@ -214,7 +207,7 @@ TEST(LockTableCluster, ObjectLevelSerializableUnderLoad) {
     config.seed = seed;
     config.net.hiccup_prob = 0.15;
     config.net.hiccup_mean = 2 * kMillisecond;
-    Cluster cluster(config, lock_table_factory());
+    Cluster cluster(config, engine_factory("locktable"));
     HistoryRecorder recorder(cluster);
     WorkloadConfig wl;
     wl.updates_per_second_per_site = 120;
@@ -250,7 +243,7 @@ TEST(LockTableCluster, OutperformsClassQueuesOnHotClasses) {
     config.objects_per_class = 64;
     config.seed = 99;
     auto cluster = fine_grained
-                       ? std::make_unique<Cluster>(config, lock_table_factory())
+                       ? std::make_unique<Cluster>(config, engine_factory("locktable"))
                        : std::make_unique<Cluster>(config);
     WorkloadConfig wl;
     wl.updates_per_second_per_site = 150;
@@ -279,7 +272,7 @@ TEST(LockTableCluster, SnapshotQueriesSeeExactPrefixes) {
   config.n_classes = 2;
   config.objects_per_class = 8;
   config.seed = 42;
-  Cluster cluster(config, lock_table_factory());
+  Cluster cluster(config, engine_factory("locktable"));
   HistoryRecorder recorder(cluster);
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 100;

@@ -10,8 +10,6 @@
 
 #include "abcast/abcast.h"
 #include "abcast/channels.h"
-#include "baseline/conservative_replica.h"
-#include "baseline/lazy_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
 #include "core/otp_replica.h"
@@ -363,10 +361,7 @@ TEST(MultiClassCluster, ConservativeCrossClassWorkloadStaysSerializable) {
   config.n_classes = 6;
   config.objects_per_class = 16;
   config.seed = 12;
-  Cluster cluster(config, [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  });
+  Cluster cluster(config, engine_factory("conservative"));
   run_cross_class_workload(cluster, 0.3, 22);
 }
 
@@ -412,10 +407,7 @@ TEST(MultiClassCluster, TpccRemoteMixOnConservativeEngine) {
   tpcc::Layout layout;
   config.objects_per_class = layout.objects_per_warehouse();
   config.seed = 32;
-  Cluster cluster(config, [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  });
+  Cluster cluster(config, engine_factory("conservative"));
   run_tpcc_remote(cluster, 42);
 }
 
@@ -428,9 +420,7 @@ TEST(MultiClassDeath, LazyEngineRejectsMultiClassSubmission) {
   config.n_sites = 2;
   config.n_classes = 4;
   config.objects_per_class = 8;
-  Cluster cluster(config, [](const ReplicaDeps& d) {
-    return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry, d.site);
-  });
+  Cluster cluster(config, engine_factory("lazy"));
   const ProcId rmw_cross = register_rmw_cross_procedure(cluster.procedures());
   // Single-element sets route through normally...
   cluster.replica(0).submit_update_multi(

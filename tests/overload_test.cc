@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/admission.h"
 #include "core/cluster.h"
@@ -79,13 +78,7 @@ TEST(Admission, LagSignalAloneEngages) {
 
 struct DirectFixture {
   explicit DirectFixture(ClusterConfig config, bool conservative = false)
-      : cluster(conservative
-                    ? Cluster(config,
-                              [](const ReplicaDeps& d) {
-                                return std::make_unique<ConservativeReplica>(
-                                    d.sim, d.abcast, d.storage, d.catalog, d.registry, d.site);
-                              })
-                    : Cluster(config)) {
+      : cluster(config, engine_factory(conservative ? "conservative" : "otp")) {
     proc = register_rmw_procedure(cluster.procedures(), cluster.catalog());
   }
   TxnArgs args() const {

@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "baseline/lazy_replica.h"
 #include "core/cluster.h"
 #include "workload/workload.h"
 
@@ -53,14 +52,7 @@ int run_and_count_crossings(bool lazy, std::uint64_t seed) {
   // different sites - the raw material for the anomaly.
   config.net.hiccup_prob = 0.3;
   config.net.hiccup_mean = 5 * kMillisecond;
-  auto cluster =
-      lazy ? std::make_unique<Cluster>(config,
-                                       [](const ReplicaDeps& d) {
-                                         return std::make_unique<LazyReplica>(
-                                             d.sim, d.net, d.storage, d.catalog, d.registry,
-                                             d.site);
-                                       })
-           : std::make_unique<Cluster>(config);
+  auto cluster = std::make_unique<Cluster>(config, engine_factory(lazy ? "lazy" : "otp"));
   const ProcId rmw = register_rmw_procedure(cluster->procedures(), cluster->catalog());
 
   // Continuous +1 increments to both class counters from sites 0/1.

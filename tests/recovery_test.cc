@@ -8,7 +8,6 @@
 #include <functional>
 
 #include "abcast/opt_abcast.h"
-#include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
 #include "db/durable_store.h"
@@ -276,13 +275,6 @@ ClusterConfig durable_recovery_config(std::uint64_t seed, std::size_t n_sites = 
   return config;
 }
 
-ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
 /// 30 +1 updates to one object loaded to 100 (indices 1..30), then
 /// `restart` at site 1 and 10 more updates. Commits trim the chains to the
 /// query horizon, so the restarted site no longer holds the versions old
@@ -391,7 +383,7 @@ TEST(Recovery, QueryRightAfterColdRestartReadsAServedSnapshot) {
 }
 
 TEST(Recovery, QueryRightAfterColdRestartConservativeEngine) {
-  Cluster cluster(durable_recovery_config(31, 3), conservative_factory());
+  Cluster cluster(durable_recovery_config(31, 3), engine_factory("conservative"));
   const QueryReport report = query_across_restart(cluster, cold_restart_site_1, false);
   EXPECT_EQ(report.snapshot_index, 30u);
   expect_consistent_read(report);
@@ -450,7 +442,7 @@ TEST(Recovery, DurableRestartFromDiskConvergesWithTombstones) {
 TEST(Recovery, DurableRestartFromDiskConservativeEngine) {
   // Same kill-and-restart leg on the conservative (TO-delivery execution)
   // engine: the shared replay-floor/tombstone protocol is engine-agnostic.
-  Cluster cluster(durable_recovery_config(22), conservative_factory());
+  Cluster cluster(durable_recovery_config(22), engine_factory("conservative"));
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 80;
   wl.mean_exec_time = 2 * kMillisecond;
@@ -475,7 +467,7 @@ TEST(Recovery, DurableRestartFromDiskConservativeEngine) {
 TEST(Recovery, ConservativeWarmRecoveryConverges) {
   // Warm recovery (RAM survives, volatile protocol state lost) on the
   // conservative engine over the plain memory backend.
-  Cluster cluster(recovery_config(23), conservative_factory());
+  Cluster cluster(recovery_config(23), engine_factory("conservative"));
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 70;
   wl.mean_exec_time = 2 * kMillisecond;

@@ -4,9 +4,7 @@
 
 #include <memory>
 
-#include "baseline/conservative_replica.h"
 #include "checker/history.h"
-#include "core/lock_table_replica.h"
 #include "workload/tpcc_lite.h"
 
 namespace otpdb {
@@ -88,13 +86,6 @@ TEST(TpccProcedures, WarehousesAreIsolated) {
 
 // --- Cluster integration per engine ------------------------------------------
 
-ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
 enum class EngineKind { otp, conservative };
 
 void run_tpcc_and_audit(EngineKind engine, std::uint64_t seed, bool stormy) {
@@ -109,7 +100,7 @@ void run_tpcc_and_audit(EngineKind engine, std::uint64_t seed, bool stormy) {
     config.net.hiccup_mean = 3 * kMillisecond;
   }
   auto cluster = engine == EngineKind::conservative
-                     ? std::make_unique<Cluster>(config, conservative_factory())
+                     ? std::make_unique<Cluster>(config, engine_factory("conservative"))
                      : std::make_unique<Cluster>(config);
   HistoryRecorder recorder(*cluster);
   tpcc::MixConfig mix;

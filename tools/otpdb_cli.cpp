@@ -21,10 +21,7 @@
 #include <string_view>
 
 #include "abcast/opt_abcast.h"
-#include "baseline/conservative_replica.h"
-#include "baseline/lazy_replica.h"
 #include "checker/history.h"
-#include "core/lock_table_replica.h"
 #include "db/durable_store.h"
 #include "net/spontaneous_order.h"
 #include "net/topology.h"
@@ -257,29 +254,6 @@ void print_chaos_summary(Cluster& cluster) {
   }
 }
 
-ReplicaFactory make_factory(const std::string& engine) {
-  if (engine == "conservative") {
-    return [](const ReplicaDeps& d) {
-      return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                   d.registry, d.site);
-    };
-  }
-  if (engine == "lazy") {
-    return [](const ReplicaDeps& d) {
-      return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry,
-                                           d.site);
-    };
-  }
-  if (engine == "locktable") {
-    return [](const ReplicaDeps& d) {
-      return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                d.registry, d.site,
-                                                rmw_access_extractor(d.catalog));
-    };
-  }
-  return nullptr;  // otp default
-}
-
 void print_cluster_summary(Cluster& cluster, double seconds, bool lazy_engine) {
   std::uint64_t committed = 0, aborts = 0, redo = 0, reorders = 0;
   OnlineStats latency, gap, query_latency;
@@ -346,8 +320,8 @@ int cmd_run(const Flags& flags) {
     return usage();
   }
   const std::string engine = flags.get("engine", "otp");
-  ReplicaFactory factory = make_factory(engine);
-  if (!factory && engine != "otp") {
+  ReplicaFactory factory = engine_factory(engine);
+  if (!factory) {
     std::fprintf(stderr, "unknown --engine=%s (otp|conservative|lazy|locktable)\n",
                  engine.c_str());
     return usage();
@@ -370,8 +344,7 @@ int cmd_run(const Flags& flags) {
   if (!apply_chaos_flag(flags, config, duration)) return usage();
   if (!apply_admission_flag(flags, config)) return usage();
 
-  auto cluster = factory ? std::make_unique<Cluster>(config, std::move(factory))
-                         : std::make_unique<Cluster>(config);
+  auto cluster = std::make_unique<Cluster>(config, std::move(factory));
   HistoryRecorder recorder(*cluster);
 
   WorkloadConfig wl;
